@@ -25,7 +25,8 @@ so no step-frequency speed estimate can see the translation (see
 ``limitations`` in the JSON and ``docs/motion.md``).
 
 The timed operation is the smoke sweep (paper-walk + mixed-gait), the
-same workload CI's fast lane runs via ``python -m repro gait --smoke``.
+same workload CI's fast lane runs via
+``python -m repro gate gait --smoke``.
 """
 
 from __future__ import annotations

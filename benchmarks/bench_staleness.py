@@ -17,9 +17,9 @@ The committed gate (``BENCH_staleness.json`` at the repo root):
   an ``EpochalDatabase`` at epoch 0 produces a fix stream bitwise
   identical to the same engine over the frozen database.
 
-The timed operation is the smoke sweep (six walks, mechanics checks),
-the same workload CI's fast lane exercises via
-``python -m repro epochs --smoke``.
+The timed operation is the smoke sweep (six walks, mechanics checks);
+the full sweep is the ``staleness_recovery`` check of
+``python -m repro gate epoch-flip``.
 """
 
 from __future__ import annotations

@@ -17,26 +17,17 @@ Commands:
   plan, the per-kind injection counts, the engine's quarantine/shed
   response, and the full metrics snapshot.  The CI chaos lane archives
   this document as its artifact.
-* ``cluster`` — serve the same batched workload twice, through a single
-  engine and through a sharded :mod:`repro.cluster` deployment (in-process
-  or spawned workers), optionally under one shared fault storm (message
-  faults plus worker kills), and print one JSON document with both
-  sides' per-session fix-stream checksums, an ``equal`` verdict (the
-  exit code: 0 iff bitwise equal), and the cluster's merged metrics.
-  The CI cluster lanes archive this document as their artifact.
 * ``serve`` — boot the asyncio TCP ingress (:mod:`repro.ingress`) over
   a sharded deployment with a seeded workload's sessions pre-admitted,
   print the bound address as one JSON line, and run until a
-  ``shutdown`` op or Ctrl-C.  With ``--selftest``, instead replay one
-  open-loop schedule (reconnect storms and jitter included) through
-  the deterministic per-shard driver at 1/2/4 shards and exit 0 iff
-  every session's fix stream is bitwise equal to the lockstep
-  coordinator's — the CI fast lane's ingress gate.
-* ``gait`` — the heterogeneous-gait gate: gait-disabled serving must be
-  bitwise-identical to the paper engine over a mixed-gait workload
-  (batched vs sequential plus 1/2/4-shard clusters), the speed-adaptive
-  opt-in must be shard-consistent, and the fixed-vs-adaptive motion
-  bench gate must pass.  Exit code 0 iff all gates hold.
+  ``shutdown`` op or Ctrl-C.
+* ``gate <name>...|--all [--smoke]`` — run serving correctness gates
+  from the :mod:`repro.gates` registry (sharded == single, async ==
+  lockstep, atomic epoch flip, gait-disabled path free, and the
+  ingress x gait x epoch x defended cross-product) and print one JSON
+  document: per gate its comparisons, mismatches and largest
+  difference, per-session fix-stream checksums, and the feature x
+  topology coverage table.  Exit code 0 iff every check passes.
 
 All commands are deterministic given ``--seed`` (wall-clock metrics in
 ``metrics``/``chaos`` output excepted).
@@ -47,7 +38,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -237,75 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the JSON document here",
     )
 
-    cluster = subparsers.add_parser(
-        "cluster",
-        help="serve a batched workload through a sharded cluster, verify "
-        "bitwise equality against a single engine, and print the report "
-        "as JSON (exit code 0 iff equal)",
-    )
-    cluster.add_argument(
-        "--shards", type=int, default=2, help="shard count (default 2)"
-    )
-    cluster.add_argument(
-        "--transport",
-        choices=("local", "process"),
-        default="local",
-        help="in-process workers (local, default) or spawned child "
-        "processes (process)",
-    )
-    cluster.add_argument(
-        "--sessions", type=int, default=8, help="concurrent sessions (default 8)"
-    )
-    cluster.add_argument(
-        "--corpus-size",
-        type=int,
-        default=4,
-        help="distinct walks replayed (default 4)",
-    )
-    cluster.add_argument(
-        "--n-aps", type=int, default=6, help="AP count (default 6)"
-    )
-    cluster.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=None,
-        help="when set, run BOTH sides under the same seeded storm of "
-        "message faults and worker kills (default: no storm)",
-    )
-    cluster.add_argument(
-        "--rate",
-        type=float,
-        default=0.1,
-        help="per-(tick, session) fault probability (default 0.1)",
-    )
-    cluster.add_argument(
-        "--workdir",
-        type=Path,
-        default=None,
-        help="directory for shard WAL/checkpoint files (default: a "
-        "fresh temp dir)",
-    )
-    cluster.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help="also write the JSON document here",
-    )
-
     serve = subparsers.add_parser(
         "serve",
         help="run the asyncio TCP ingress (event-driven per-shard loops "
-        "over a sharded deployment) until a shutdown op or Ctrl-C; with "
-        "--selftest, instead verify the async path bitwise against the "
-        "lockstep coordinator at 1/2/4 shards and exit 0 iff equal",
-    )
-    serve.add_argument(
-        "--selftest",
-        action="store_true",
-        help="no socket: replay one open-loop schedule (with reconnect "
-        "storms and jitter) through the deterministic per-shard driver "
-        "at 1/2/4 shards and diff every session's fix stream against "
-        "the lockstep ClusterCoordinator reference (CI fast lane)",
+        "over a sharded deployment) until a shutdown op or Ctrl-C",
     )
     serve.add_argument(
         "--host", default="127.0.0.1", help="listen address (default %(default)s)"
@@ -365,12 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for shard WAL/checkpoint files (default: a "
         "fresh temp dir)",
     )
-    serve.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help="(selftest) also write the JSON verdict document here",
-    )
 
     redteam = subparsers.add_parser(
         "redteam",
@@ -418,99 +338,44 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write each generated environment's spec JSON here",
     )
 
-    epochs = subparsers.add_parser(
-        "epochs",
-        help="serve one workload across a mid-run database-epoch flip at "
-        "several shard counts — plus a worker killed during the flip's "
-        "prepare phase — and require every fix stream bitwise equal to "
-        "a single epochal engine's (exit code 0 iff all gates pass; "
-        "without --smoke also runs the accuracy-vs-staleness sweep)",
+    gate = subparsers.add_parser(
+        "gate",
+        help="run serving correctness gates from repro.gates at their "
+        "fixed sizes (--training-traces/--test-traces do not apply) and "
+        "print one JSON document (exit code 0 iff every check passes)",
     )
-    epochs.add_argument(
+    gate.add_argument(
+        "names",
+        nargs="*",
+        metavar="NAME",
+        help="gates to run (sharded-single, async-lockstep, epoch-flip, "
+        "gait, ingress-cross)",
+    )
+    gate.add_argument(
+        "--all",
+        action="store_true",
+        help="run every gate and report feature x topology coverage",
+    )
+    gate.add_argument(
         "--smoke",
         action="store_true",
-        help="1/2-shard flip equivalence only, skipping the 4-shard run "
-        "and the staleness sweep (CI fast lane)",
+        help="each gate's fixed smoke sizes (CI fast lane) instead of "
+        "its full sizes",
     )
-    epochs.add_argument(
+    gate.add_argument(
         "--transport",
         choices=("local", "process"),
         default="local",
         help="shard transport (default %(default)s)",
     )
-    epochs.add_argument(
-        "--sessions",
+    gate.add_argument(
+        "--chaos-seed",
         type=int,
-        default=8,
-        help="concurrent sessions (default 8)",
-    )
-    epochs.add_argument(
-        "--corpus-size",
-        type=int,
-        default=4,
-        help="distinct walks replayed (default 4)",
-    )
-    epochs.add_argument(
-        "--n-aps", type=int, default=6, help="AP count (default 6)"
-    )
-    epochs.add_argument(
-        "--workdir",
-        type=Path,
         default=None,
-        help="directory for shard WAL/checkpoint files (default: a "
-        "fresh temp dir)",
+        help="run sharded-single's single engine and cluster under one "
+        "seeded storm of message faults and worker kills",
     )
-    epochs.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help="also write the JSON document here",
-    )
-
-    gait = subparsers.add_parser(
-        "gait",
-        help="the heterogeneous-gait gate: prove gait-disabled serving is "
-        "bitwise-identical to the paper engine over a mixed-gait workload "
-        "(batched vs sequential, 1/2/4-shard clusters), prove the "
-        "speed-adaptive path is shard-consistent, and run the "
-        "fixed-vs-adaptive motion bench (exit code 0 iff every gate "
-        "passes)",
-    )
-    gait.add_argument(
-        "--smoke",
-        action="store_true",
-        help="bench only the paper-walk and mixed-gait mixes (CI fast "
-        "lane) instead of the full four-mix sweep",
-    )
-    gait.add_argument(
-        "--transport",
-        choices=("local", "process"),
-        default="local",
-        help="shard transport for the equality runs (default %(default)s)",
-    )
-    gait.add_argument(
-        "--sessions",
-        type=int,
-        default=6,
-        help="concurrent sessions in the equality workload (default 6)",
-    )
-    gait.add_argument(
-        "--corpus-size",
-        type=int,
-        default=4,
-        help="distinct mixed-gait walks replayed (default 4)",
-    )
-    gait.add_argument(
-        "--n-aps", type=int, default=6, help="AP count (default 6)"
-    )
-    gait.add_argument(
-        "--workdir",
-        type=Path,
-        default=None,
-        help="directory for shard WAL/checkpoint files (default: a "
-        "fresh temp dir)",
-    )
-    gait.add_argument(
+    gate.add_argument(
         "--output",
         type=Path,
         default=None,
@@ -530,7 +395,8 @@ def _study_from(args) -> "Study":
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "demo":
         return _demo(_study_from(args))
     if args.command == "experiment":
@@ -567,47 +433,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.output,
             adversarial=args.adversarial,
         )
-    if args.command == "cluster":
-        return _cluster(
-            _study_from(args),
-            args.shards,
-            args.transport,
-            args.sessions,
-            args.corpus_size,
-            args.n_aps,
-            args.chaos_seed,
-            args.rate,
-            args.workdir,
-            args.output,
-        )
     if args.command == "serve":
         return _serve(_study_from(args), args)
     if args.command == "redteam":
         return _redteam(_study_from(args), args.smoke, args.output)
     if args.command == "matrix":
         return _matrix(args.seed, args.smoke, args.output, args.specs_dir)
-    if args.command == "epochs":
-        return _epochs(
-            _study_from(args),
-            args.smoke,
-            args.transport,
-            args.sessions,
-            args.corpus_size,
-            args.n_aps,
-            args.workdir,
-            args.output,
-        )
-    if args.command == "gait":
-        return _gait(
-            args.seed,
-            args.smoke,
-            args.transport,
-            args.sessions,
-            args.corpus_size,
-            args.n_aps,
-            args.workdir,
-            args.output,
-        )
+    if args.command == "gate":
+        return _gate(parser, args)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
@@ -950,512 +783,24 @@ def _chaos(
     return 0
 
 
-def _cluster(
-    study: Study,
-    n_shards: int,
-    transport: str,
-    n_sessions: int,
-    corpus_size: int,
-    n_aps: int,
-    chaos_seed: Optional[int],
-    rate: float,
-    workdir: Optional[Path],
-    output: Optional[Path],
-) -> int:
-    """Serve one workload twice — single engine vs. cluster — and diff.
-
-    The two runs share everything: study, workload, calibrated
-    services, and (when ``--chaos-seed`` is given) one fault plan drawn
-    from the message-fault and worker-kill kinds.  Worker kills are
-    injected only on the cluster side (the single-engine harness counts
-    them skipped) and supervised recovery must make them invisible, so
-    the per-session fix streams are required to match bitwise either
-    way.  Exit code 0 iff they do.
-    """
-    import json
-    import tempfile
-
-    from .chaos import ChaosHarness, FaultPlan
-    from .chaos.plan import CLUSTER_KINDS, MESSAGE_KINDS
-    from .cluster import (
-        ClusterChaosHarness,
-        ClusterCoordinator,
-        LocalShard,
-        ProcessShard,
-        fresh_session_entry,
-        shard_spec,
-    )
-    from .serving import (
-        BatchedServingEngine,
-        IntervalEvent,
-        build_session_services,
-        fix_stream_checksum,
-    )
-    from .sim.evaluation import multi_session_workload
-
-    fingerprint_db = study.fingerprint_db(n_aps)
-    motion_db, _ = study.motion_db(n_aps)
-    plan = study.scenario.plan
-    workload = multi_session_workload(
-        study.test_traces,
-        n_sessions,
-        corpus_size=min(corpus_size, n_sessions),
-        stagger_ticks=2,
-    )
-    fault_plan = None
-    if chaos_seed is not None:
-        fault_plan = FaultPlan.random(
-            seed=chaos_seed,
-            n_ticks=len(workload.ticks),
-            session_ids=sorted(workload.sessions),
-            rate=rate,
-            kinds=tuple(MESSAGE_KINDS) + tuple(CLUSTER_KINDS),
-        )
-
-    def services() -> Dict[str, object]:
-        return build_session_services(
-            workload,
-            fingerprint_db,
-            motion_db,
-            study.config,
-            resilient=True,
-            plan=plan,
-        )
-
-    def events_of(tick) -> List[IntervalEvent]:
-        return [
-            IntervalEvent(
-                session_id=interval.session_id,
-                scan=interval.scan,
-                imu=interval.imu,
-                sequence=interval.sequence,
-            )
-            for interval in tick
-        ]
-
-    def digests(streams: Dict[str, List[object]]) -> Dict[str, object]:
-        # Under a storm a stream may carry None slots (an event dropped
-        # as stale); checksum the served fixes and record the gaps so
-        # "equal" still means slot-for-slot identical.
-        return {
-            session_id: {
-                "checksum": fix_stream_checksum(
-                    [fix for fix in stream if fix is not None]
-                ),
-                "fixes": len(stream),
-                "gaps": [
-                    slot for slot, fix in enumerate(stream) if fix is None
-                ],
-            }
-            for session_id, stream in sorted(streams.items())
-        }
-
-    def run_single() -> Dict[str, object]:
-        engine = BatchedServingEngine(
-            fingerprint_db, motion_db, study.config
-        )
-        harness = (
-            ChaosHarness(engine, fault_plan)
-            if fault_plan is not None
-            else None
-        )
-        for session_id, service in services().items():
-            engine.add_session(session_id, service)
-        streams = {sid: [] for sid in workload.sessions}
-        for tick in workload.ticks:
-            events = events_of(tick)
-            if harness is not None:
-                outcome = harness.tick_detailed(events)
-                delivered = harness.last_delivered
-            else:
-                outcome = engine.tick_detailed(events)
-                delivered = events
-            for event, fix in zip(delivered, outcome.fixes):
-                streams[event.session_id].append(fix)
-        return digests(streams)
-
-    def run_cluster(shard_dir: Path) -> Tuple[Dict[str, object], Dict]:
-        transport_cls = LocalShard if transport == "local" else ProcessShard
-        shards = [
-            transport_cls(
-                shard_spec(
-                    f"shard-{index}",
-                    fingerprint_db,
-                    motion_db,
-                    study.config,
-                    plan=plan,
-                    wal_path=shard_dir / f"shard-{index}.wal",
-                    checkpoint_path=shard_dir / f"shard-{index}.ckpt",
-                )
-            )
-            for index in range(n_shards)
-        ]
-        coordinator = ClusterCoordinator(shards)
-        harness = (
-            ClusterChaosHarness(coordinator, fault_plan)
-            if fault_plan is not None
-            else None
-        )
-        for session_id, service in sorted(services().items()):
-            coordinator.add_session(fresh_session_entry(session_id, service))
-        streams = {sid: [] for sid in workload.sessions}
-        for tick in workload.ticks:
-            events = events_of(tick)
-            if harness is not None:
-                outcome = harness.tick(events)
-                delivered = harness.last_delivered
-            else:
-                outcome = coordinator.tick_detailed(events)
-                delivered = events
-            for event, fix in zip(delivered, outcome.fixes):
-                streams[event.session_id].append(fix)
-        snapshot = coordinator.metrics_snapshot()
-        coordinator.shutdown()
-        return digests(streams), snapshot
-
-    if workdir is None:
-        shard_dir = Path(tempfile.mkdtemp(prefix="repro-cluster-"))
-    else:
-        shard_dir = workdir
-        shard_dir.mkdir(parents=True, exist_ok=True)
-
-    single_digests = run_single()
-    cluster_digests, snapshot = run_cluster(shard_dir)
-    equal = single_digests == cluster_digests
-    document = {
-        "report": "cluster",
-        "shards": n_shards,
-        "transport": transport,
-        "sessions": n_sessions,
-        "ticks": len(workload.ticks),
-        "chaos_seed": chaos_seed,
-        "rate": rate if chaos_seed is not None else None,
-        "scheduled_faults": 0 if fault_plan is None else len(fault_plan),
-        "equal": equal,
-        "single": single_digests,
-        "cluster": cluster_digests,
-        "coordinator": snapshot["coordinator"],
-        "merged_metrics": snapshot["merged"],
-    }
-    text = json.dumps(document, indent=2, sort_keys=True)
-    if output is not None:
-        output.parent.mkdir(parents=True, exist_ok=True)
-        output.write_text(text + "\n", encoding="utf-8")
-    print(text)
-    return 0 if equal else 1
-
-
-def _epochs(
-    study: Study,
-    smoke: bool,
-    transport: str,
-    n_sessions: int,
-    corpus_size: int,
-    n_aps: int,
-    workdir: Optional[Path],
-    output: Optional[Path],
-) -> int:
-    """The epochal-database gate: one mid-run flip, many deployments.
-
-    Serves one seeded workload through a single epochal engine and
-    through epochal clusters at several shard counts, flipping every
-    deployment to epoch 1 with the *same* churn-repair update batch at
-    the same tick boundary, and requires every per-session fix stream
-    to match the single engine's bitwise.  Three hostile variants ride
-    along: a worker killed during the flip's prepare phase (its staged
-    epoch dies with the process; the commit must carry it back), an
-    epoch-0 cluster that never flips (the epochal wrapper must cost
-    zero bytes vs the frozen single engine), and — without ``--smoke``
-    — the accuracy-vs-staleness sweep with its recovery gate.  Exit
-    code 0 iff every gate passes.
-    """
-    import json
-    import tempfile
-
-    from .analysis.staleness import churn_schedule, run_staleness
-    from .chaos.harness import EnvironmentOverlay
-    from .cluster import (
-        ClusterCoordinator,
-        LocalShard,
-        ProcessShard,
-        fresh_session_entry,
-        shard_spec,
-    )
-    from .db.epochs import EpochalDatabase, Observation, update_to_dict
-    from .serving import (
-        BatchedServingEngine,
-        IntervalEvent,
-        build_session_services,
-        fix_stream_checksum,
-    )
-    from .sim.evaluation import multi_session_workload
-
-    fingerprint_db = study.fingerprint_db(n_aps)
-    motion_db, _ = study.motion_db(n_aps)
-    plan = study.scenario.plan
-    workload = multi_session_workload(
-        study.test_traces,
-        n_sessions,
-        corpus_size=min(corpus_size, n_sessions),
-        stagger_ticks=2,
-    )
-    flip_tick = len(workload.ticks) // 2
-
-    # The flip batch: the canonical churn schedule's repair updates
-    # (dead AP, re-powered AP, site drift) plus one crowdsourced
-    # observation, so the flip exercises every update kind the epoch
-    # compactor merges.
-    overlay = EnvironmentOverlay()
-    for spec in churn_schedule(n_aps):
-        overlay.activate(spec)
-    first_location = fingerprint_db.location_ids[0]
-    updates = overlay.repair_updates(n_aps) + [
-        Observation(
-            location_id=first_location,
-            rss=[
-                min(v + 1.5, 0.0)
-                for v in fingerprint_db.fingerprint_of(first_location).rss
-            ],
-        )
-    ]
-
-    def services() -> Dict[str, object]:
-        return build_session_services(
-            workload,
-            fingerprint_db,
-            motion_db,
-            study.config,
-            resilient=True,
-            plan=plan,
-        )
-
-    def events_of(tick) -> List[IntervalEvent]:
-        return [
-            IntervalEvent(
-                session_id=interval.session_id,
-                scan=interval.scan,
-                imu=interval.imu,
-                sequence=interval.sequence,
-            )
-            for interval in tick
-        ]
-
-    def digests(streams: Dict[str, List[object]]) -> Dict[str, object]:
-        return {
-            session_id: {
-                "checksum": fix_stream_checksum(
-                    [fix for fix in stream if fix is not None]
-                ),
-                "fixes": len(stream),
-            }
-            for session_id, stream in sorted(streams.items())
-        }
-
-    def run_single(epochal: bool, flip: bool) -> Tuple[Dict, Optional[Dict]]:
-        engine_db = (
-            EpochalDatabase(fingerprint_db) if epochal else fingerprint_db
-        )
-        engine = BatchedServingEngine(engine_db, motion_db, study.config)
-        for session_id, service in services().items():
-            engine.add_session(session_id, service)
-        streams = {sid: [] for sid in workload.sessions}
-        flip_result = None
-        for index, tick in enumerate(workload.ticks):
-            if flip and index == flip_tick:
-                snapshot = engine.advance_epoch(updates)
-                flip_result = {
-                    "epoch": snapshot.epoch_id,
-                    "checksum": snapshot.checksum,
-                }
-            events = events_of(tick)
-            outcome = engine.tick_detailed(events)
-            for event, fix in zip(events, outcome.fixes):
-                streams[event.session_id].append(fix)
-        return digests(streams), flip_result
-
-    def run_cluster(
-        n_shards: int,
-        shard_dir: Path,
-        label: str,
-        flip: bool,
-        kill_during_prepare: bool = False,
-    ) -> Tuple[Dict, Optional[Dict], Dict]:
-        transport_cls = LocalShard if transport == "local" else ProcessShard
-        shards = [
-            transport_cls(
-                shard_spec(
-                    f"shard-{index}",
-                    fingerprint_db,
-                    motion_db,
-                    study.config,
-                    plan=plan,
-                    wal_path=shard_dir / f"{label}-{index}.wal",
-                    checkpoint_path=shard_dir / f"{label}-{index}.ckpt",
-                    epochal=True,
-                )
-            )
-            for index in range(n_shards)
-        ]
-        coordinator = ClusterCoordinator(shards)
-        for session_id, service in sorted(services().items()):
-            coordinator.add_session(fresh_session_entry(session_id, service))
-        streams = {sid: [] for sid in workload.sessions}
-        flip_result = None
-        for index, tick in enumerate(workload.ticks):
-            if flip and index == flip_tick:
-                if kill_during_prepare:
-                    # Stage the epoch on every shard, then kill one: its
-                    # staged snapshot dies with the process, and the
-                    # flip's commit (which carries the update batch) must
-                    # restage it on the respawned worker.
-                    serialized = [update_to_dict(u) for u in updates]
-                    for shard in coordinator.shards.values():
-                        shard.request(
-                            {
-                                "op": "epoch_prepare",
-                                "target": 1,
-                                "updates": serialized,
-                            }
-                        )
-                    victim = coordinator.shards[
-                        coordinator.router.shard_ids[0]
-                    ]
-                    victim.kill()
-                flip_result = coordinator.advance_epoch(updates)
-            events = events_of(tick)
-            outcome = coordinator.tick_detailed(events)
-            for event, fix in zip(events, outcome.fixes):
-                streams[event.session_id].append(fix)
-        epochs = coordinator.epoch_status()
-        coordinator_metrics = coordinator.metrics.snapshot()
-        coordinator.shutdown()
-        return digests(streams), flip_result, {
-            "epochs": epochs,
-            "counters": coordinator_metrics["counters"],
-        }
-
-    if workdir is None:
-        shard_dir = Path(tempfile.mkdtemp(prefix="repro-epochs-"))
-    else:
-        shard_dir = workdir
-        shard_dir.mkdir(parents=True, exist_ok=True)
-
-    shard_counts = [1, 2] if smoke else [1, 2, 4]
-    frozen_digests, _ = run_single(epochal=False, flip=False)
-    reference_digests, reference_flip = run_single(epochal=True, flip=True)
-
-    runs: Dict[str, object] = {}
-    flip_checksums = {reference_flip["checksum"]}
-    flips_equal = True
-    for n_shards in shard_counts:
-        cluster_digests, flip_result, status = run_cluster(
-            n_shards, shard_dir, f"flip{n_shards}", flip=True
-        )
-        equal = cluster_digests == reference_digests
-        flips_equal = flips_equal and equal
-        flip_checksums.add(flip_result["checksum"])
-        runs[f"flip_{n_shards}_shards"] = {
-            "shards": n_shards,
-            "equal": equal,
-            "flip": flip_result,
-            "epochs": status["epochs"],
-            "digests": cluster_digests,
-        }
-
-    kill_digests, kill_flip, kill_status = run_cluster(
-        2, shard_dir, "kill", flip=True, kill_during_prepare=True
-    )
-    kill_equal = kill_digests == reference_digests
-    flip_checksums.add(kill_flip["checksum"])
-    runs["flip_2_shards_kill_during_prepare"] = {
-        "shards": 2,
-        "equal": kill_equal,
-        "flip": kill_flip,
-        "epochs": kill_status["epochs"],
-        "recoveries": kill_status["counters"].get("cluster.recoveries", 0),
-        "digests": kill_digests,
-    }
-
-    epoch0_digests, _, epoch0_status = run_cluster(
-        2, shard_dir, "epoch0", flip=False
-    )
-    epoch0_equal = epoch0_digests == frozen_digests
-    runs["epoch0_2_shards"] = {
-        "shards": 2,
-        "equal": epoch0_equal,
-        "epochs": epoch0_status["epochs"],
-        "digests": epoch0_digests,
-    }
-
-    checksums_agree = len(flip_checksums) == 1
-    gates = {
-        "flip_streams_equal": flips_equal,
-        "flip_survives_kill_during_prepare": kill_equal,
-        "epoch0_bitwise_free": epoch0_equal,
-        "flip_checksums_agree": checksums_agree,
-    }
-    document: Dict[str, object] = {
-        "report": "epochs",
-        "smoke": smoke,
-        "transport": transport,
-        "sessions": n_sessions,
-        "ticks": len(workload.ticks),
-        "flip_tick": flip_tick,
-        "updates": [update_to_dict(u) for u in updates],
-        "reference_flip": reference_flip,
-        "reference": reference_digests,
-        "runs": runs,
-        "gates": gates,
-    }
-    if not smoke:
-        staleness = run_staleness(study)
-        document["staleness"] = staleness
-        gates["staleness_recovery"] = staleness["gate"]["passed"]
-    passed = all(gates.values())
-    document["passed"] = passed
-
-    text = json.dumps(document, indent=2, sort_keys=True)
-    if output is not None:
-        output.parent.mkdir(parents=True, exist_ok=True)
-        output.write_text(text + "\n", encoding="utf-8")
-    print(text)
-    return 0 if passed else 1
-
-
 def _serve(study: Study, args) -> int:
-    """The ingress front door — or, with ``--selftest``, its bitwise gate.
+    """The ingress front door over a sharded deployment.
 
-    Selftest replays one seeded open-loop schedule (diurnal bursts,
-    a reconnect storm, arrival jitter) through the deterministic
-    per-shard :class:`~repro.ingress.IngressDriver` at 1/2/4 shards and
-    requires every session's fix stream to equal the lockstep
-    :class:`~repro.cluster.ClusterCoordinator` reference slot for slot
-    (``None`` gaps included).  Exit code 0 iff all shard counts match.
-
-    Server mode boots the same deployment behind
-    :class:`~repro.ingress.IngressServer`, pre-admits the workload's
-    sessions, prints one JSON line with the bound address, and runs
-    until a ``shutdown`` op or Ctrl-C.
+    Boots :class:`~repro.ingress.IngressServer`, pre-admits the
+    workload's sessions, prints one JSON line with the bound address,
+    and runs until a ``shutdown`` op or Ctrl-C.  Its bitwise contract
+    against the lockstep coordinator is ``python -m repro gate
+    async-lockstep``.
     """
     import asyncio
-    import dataclasses
     import json
     import tempfile
 
-    from .cluster import (
-        ClusterCoordinator,
-        LocalShard,
-        fresh_session_entry,
-        shard_spec,
-    )
-    from .ingress import (
-        IngressConfig,
-        IngressDriver,
-        IngressServer,
-        lockstep_fix_streams,
-    )
-    from .serving import build_session_services, fix_stream_checksum
-    from .sim.evaluation import multi_session_workload, open_loop_schedule
+    from .cluster import fresh_session_entry
+    from .gates import World, make_shards
+    from .ingress import IngressConfig, IngressServer
+    from .serving import build_session_services
+    from .sim.evaluation import multi_session_workload
 
     fingerprint_db = study.fingerprint_db(args.n_aps)
     motion_db, _ = study.motion_db(args.n_aps)
@@ -1470,117 +815,6 @@ def _serve(study: Study, args) -> int:
     else:
         shard_dir = args.workdir
         shard_dir.mkdir(parents=True, exist_ok=True)
-
-    if args.selftest:
-        # Truncated walks keep the gate a seconds-scale CI smoke while
-        # still mixing sessions at different walk phases per batch.
-        traces = [
-            dataclasses.replace(trace, hops=list(trace.hops[:5]))
-            for trace in study.test_traces[: args.corpus_size]
-        ]
-        workload = multi_session_workload(
-            traces,
-            args.sessions,
-            corpus_size=min(args.corpus_size, args.sessions),
-            stagger_ticks=1,
-        )
-        schedule = open_loop_schedule(
-            workload,
-            mean_rate_hz=8.0,
-            seed=args.seed,
-            diurnal_amplitude=0.5,
-            diurnal_period_s=3.0,
-            reconnect_storms=2,
-            storm_fraction=0.25,
-            jitter_s=0.02,
-        )
-
-        def services() -> Dict[str, object]:
-            return build_session_services(
-                workload,
-                fingerprint_db,
-                motion_db,
-                study.config,
-                resilient=True,
-                plan=study.scenario.plan,
-            )
-
-        def make_shards(n_shards: int, tag: str) -> List[LocalShard]:
-            return [
-                LocalShard(
-                    shard_spec(
-                        f"shard-{index}",
-                        fingerprint_db,
-                        motion_db,
-                        study.config,
-                        plan=study.scenario.plan,
-                        wal_path=shard_dir / f"{tag}-{index}.wal",
-                        checkpoint_path=shard_dir / f"{tag}-{index}.ckpt",
-                    )
-                )
-                for index in range(n_shards)
-            ]
-
-        def digests(streams: Dict[str, List[object]]) -> Dict[str, object]:
-            return {
-                session_id: {
-                    "checksum": fix_stream_checksum(stream),
-                    "fixes": len(stream),
-                }
-                for session_id, stream in sorted(streams.items())
-            }
-
-        verdicts: Dict[str, object] = {}
-        all_equal = True
-        for n_shards in (1, 2, 4):
-            reference = ClusterCoordinator(
-                make_shards(n_shards, f"lockstep-{n_shards}")
-            )
-            for session_id, service in sorted(services().items()):
-                reference.add_session(
-                    fresh_session_entry(session_id, service)
-                )
-            expected = digests(
-                lockstep_fix_streams(reference, schedule.arrivals)
-            )
-            reference.shutdown()
-
-            driver = IngressDriver(
-                make_shards(n_shards, f"async-{n_shards}"), config
-            )
-            for session_id, service in sorted(services().items()):
-                driver.add_session(fresh_session_entry(session_id, service))
-            result = driver.run(schedule.arrivals)
-            actual = digests(result.fixes)
-            for ticker in driver.tickers.values():
-                ticker.shard.shutdown()
-
-            equal = actual == expected
-            all_equal = all_equal and equal
-            verdicts[str(n_shards)] = {
-                "equal": equal,
-                "ticks_by_shard": result.ticks_by_shard,
-                "duplicates": result.count("duplicate"),
-                "stale": result.count("stale"),
-                "async": actual,
-                "lockstep": expected,
-            }
-        document = {
-            "report": "ingress-selftest",
-            "sessions": args.sessions,
-            "arrivals": schedule.n_arrivals,
-            "redeliveries": schedule.n_redeliveries,
-            "duration_s": schedule.duration_s,
-            "equal": all_equal,
-            "shard_counts": verdicts,
-        }
-        text = json.dumps(document, indent=2, sort_keys=True)
-        if args.output is not None:
-            args.output.parent.mkdir(parents=True, exist_ok=True)
-            args.output.write_text(text + "\n", encoding="utf-8")
-        print(text)
-        return 0 if all_equal else 1
-
     workload = multi_session_workload(
         study.test_traces,
         args.sessions,
@@ -1595,20 +829,12 @@ def _serve(study: Study, args) -> int:
         resilient=True,
         plan=study.scenario.plan,
     )
-    shards = [
-        LocalShard(
-            shard_spec(
-                f"shard-{index}",
-                fingerprint_db,
-                motion_db,
-                study.config,
-                plan=study.scenario.plan,
-                wal_path=shard_dir / f"shard-{index}.wal",
-                checkpoint_path=shard_dir / f"shard-{index}.ckpt",
-            )
-        )
-        for index in range(args.shards)
-    ]
+    shards = make_shards(
+        World(fingerprint_db, motion_db, study.config, workload),
+        shard_dir,
+        args.shards,
+        plan=study.scenario.plan,
+    )
 
     async def run_server() -> None:
         server = IngressServer(
@@ -1781,201 +1007,40 @@ def _matrix(
     return 0 if not problems else 1
 
 
-def _gait(
-    seed: int,
-    smoke: bool,
-    transport: str,
-    n_sessions: int,
-    corpus_size: int,
-    n_aps: int,
-    workdir: Optional[Path],
-    output: Optional[Path],
-) -> int:
-    """The heterogeneous-gait gate: disabled path free, adaptive path won.
 
-    Three proofs over one seeded mixed-gait workload:
 
-    1. With speed adaptation *off* (the default), batched serving and
-       1/2/4-shard clusters produce fix streams bitwise equal to the
-       sequential paper engine — the new subsystem costs zero bytes
-       until somebody turns it on.
-    2. With speed adaptation *on*, a single adaptive engine and a
-       2-shard cluster admitted via ``shard_spec(..., gait=True)``
-       agree bitwise — the opt-in flag survives spec serialization,
-       worker bootstrap, and checkpointed session state.
-    3. The motion bench gate: on the mixed-gait mix the speed-adaptive
-       model must beat the fixed model on mean error (by
-       :data:`~repro.analysis.motion.GATE_ERROR_RATIO`) *and*
-       twin-confusion rate.
-
-    Exit code 0 iff all three hold.
-    """
-    import dataclasses
+def _gate(parser: argparse.ArgumentParser, args) -> int:
+    """Run registered gates, print the document, gate the exit code."""
     import json
-    import tempfile
 
-    from .analysis.motion import run_motion_bench, validate_motion_document
-    from .cluster import (
-        ClusterCoordinator,
-        LocalShard,
-        ProcessShard,
-        fresh_session_entry,
-        shard_spec,
-    )
-    from .serving import (
-        BatchedServingEngine,
-        IntervalEvent,
-        build_session_services,
-        fix_stream_checksum,
-        serve_batched,
-        serve_sequential,
-    )
-    from .sim.evaluation import multi_session_workload
-    from .sim.gait import gait_trace_config
+    from .gates import GATES, run_gates
 
-    study = prepare_study(
-        seed=seed,
-        n_training_traces=60,
-        n_test_traces=max(corpus_size, 4),
-        trace_config=gait_trace_config("paper-walk", n_hops=12),
-        test_trace_config=gait_trace_config("mixed-gait", n_hops=12),
+    unknown = sorted(set(args.names) - set(GATES))
+    if unknown:
+        parser.error(f"unknown gate(s) {unknown}; known: {sorted(GATES)}")
+    if args.all == bool(args.names):
+        parser.error("gate: name one or more gates, or pass --all")
+    document = run_gates(
+        list(GATES) if args.all else args.names,
+        seed=args.seed,
+        smoke=args.smoke,
+        transport=args.transport,
+        chaos_seed=args.chaos_seed,
     )
-    fingerprint_db = study.fingerprint_db(n_aps)
-    motion_db, _ = study.motion_db(n_aps)
-    plan = study.scenario.plan
-    workload = multi_session_workload(
-        study.test_traces,
-        n_sessions,
-        corpus_size=min(corpus_size, n_sessions),
-        stagger_ticks=2,
-    )
-    if workdir is None:
-        shard_dir = Path(tempfile.mkdtemp(prefix="repro-gait-"))
-    else:
-        shard_dir = workdir
-        shard_dir.mkdir(parents=True, exist_ok=True)
-    transport_cls = LocalShard if transport == "local" else ProcessShard
-
-    def services(config) -> Dict[str, object]:
-        return build_session_services(
-            workload,
-            fingerprint_db,
-            motion_db,
-            config,
-            resilient=True,
-            plan=plan,
+    for name, result in document["gates"].items():
+        print(
+            f"{name}: {'pass' if result['passed'] else 'FAIL'}, "
+            f"{result['comparisons']} comparisons, "
+            f"{result['mismatches']} mismatches, largest difference "
+            f"{result['max_difference']}",
+            file=sys.stderr,
         )
-
-    def digests(fixes: Dict[str, List[object]]) -> Dict[str, object]:
-        return {
-            session_id: {
-                "checksum": fix_stream_checksum(stream),
-                "fixes": len(stream),
-            }
-            for session_id, stream in sorted(fixes.items())
-        }
-
-    def run_engine(config) -> Dict[str, object]:
-        engine = BatchedServingEngine(fingerprint_db, motion_db, config)
-        return digests(serve_batched(engine, workload, services(config)).fixes)
-
-    def run_cluster(n_shards: int, label: str, config, gait: bool) -> Dict:
-        shards = [
-            transport_cls(
-                shard_spec(
-                    f"shard-{index}",
-                    fingerprint_db,
-                    motion_db,
-                    config,
-                    plan=plan,
-                    wal_path=shard_dir / f"{label}-{index}.wal",
-                    checkpoint_path=shard_dir / f"{label}-{index}.ckpt",
-                    gait=gait,
-                )
-            )
-            for index in range(n_shards)
-        ]
-        coordinator = ClusterCoordinator(shards)
-        for session_id, service in sorted(services(config).items()):
-            coordinator.add_session(fresh_session_entry(session_id, service))
-        streams = {sid: [] for sid in workload.sessions}
-        for tick in workload.ticks:
-            events = [
-                IntervalEvent(
-                    session_id=interval.session_id,
-                    scan=interval.scan,
-                    imu=interval.imu,
-                    sequence=interval.sequence,
-                )
-                for interval in tick
-            ]
-            outcome = coordinator.tick_detailed(events)
-            for event, fix in zip(events, outcome.fixes):
-                streams[event.session_id].append(fix)
-        coordinator.shutdown()
-        return digests(streams)
-
-    # Proof 1: the disabled path is bitwise-free.
-    reference = digests(
-        serve_sequential(workload, services(study.config)).fixes
-    )
-    batched_equal = run_engine(study.config) == reference
-    shard_runs: Dict[str, object] = {}
-    shards_equal = True
-    for n_shards in (1, 2, 4):
-        cluster_digests = run_cluster(
-            n_shards, f"off{n_shards}", study.config, gait=False
-        )
-        equal = cluster_digests == reference
-        shards_equal = shards_equal and equal
-        shard_runs[f"disabled_{n_shards}_shards"] = {
-            "shards": n_shards,
-            "equal": equal,
-        }
-
-    # Proof 2: the opt-in flag round-trips through the cluster.
-    adaptive_config = dataclasses.replace(study.config, speed_adaptive=True)
-    adaptive_reference = run_engine(adaptive_config)
-    adaptive_cluster = run_cluster(2, "on2", adaptive_config, gait=True)
-    adaptive_equal = adaptive_cluster == adaptive_reference
-    adaptive_differs = adaptive_reference != reference
-
-    # Proof 3: the motion bench gate.
-    bench = run_motion_bench(seed=seed, smoke=smoke)
-    problems = validate_motion_document(bench)
-
-    gates = {
-        "disabled_batched_equals_sequential": batched_equal,
-        "disabled_shard_streams_equal": shards_equal,
-        "adaptive_cluster_consistent": adaptive_equal,
-        "adaptive_changes_serving": adaptive_differs,
-        "bench_gate": bench["gate"]["passed"],
-        "bench_document_valid": not problems,
-    }
-    passed = all(gates.values())
-    document: Dict[str, object] = {
-        "report": "gait",
-        "smoke": smoke,
-        "transport": transport,
-        "sessions": n_sessions,
-        "ticks": len(workload.ticks),
-        "reference": reference,
-        "runs": shard_runs,
-        "adaptive": {
-            "equal": adaptive_equal,
-            "differs_from_disabled": adaptive_differs,
-        },
-        "bench": bench,
-        "problems": problems,
-        "gates": gates,
-        "passed": passed,
-    }
     text = json.dumps(document, indent=2, sort_keys=True)
-    if output is not None:
-        output.parent.mkdir(parents=True, exist_ok=True)
-        output.write_text(text + "\n", encoding="utf-8")
+    if args.output is not None:
+        args.output.parent.mkdir(parents=True, exist_ok=True)
+        args.output.write_text(text + "\n", encoding="utf-8")
     print(text)
-    return 0 if passed else 1
+    return 0 if document["passed"] else 1
 
 
 if __name__ == "__main__":

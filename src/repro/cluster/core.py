@@ -29,7 +29,7 @@ Per-session serving state never sees the difference: the engine's
 batched-equals-sequential contract (PR 2) makes a session's fix stream
 a function of its own event order, not of how events were grouped into
 ticks, which is exactly the property the async-vs-lockstep
-bitwise-equality gate (``python -m repro serve --selftest``,
+bitwise-equality gate (``python -m repro gate async-lockstep``,
 ``tests/ingress/``) asserts.
 """
 

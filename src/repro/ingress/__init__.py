@@ -24,7 +24,7 @@ schedule through event-driven per-shard loops produces the same
 per-session fix streams as the lockstep coordinator — and therefore as
 one engine — because per-session event order is preserved and the
 engine's batched-equals-sequential property makes fix streams a
-function of that order alone.  ``python -m repro serve --selftest``
+function of that order alone.  ``python -m repro gate async-lockstep``
 gates it at 1/2/4 shards; ``tests/ingress/`` holds the regression
 suite, including the reordered/redelivered-arrival cases.
 """

@@ -21,7 +21,7 @@ so the entire interleaving is a pure function of the schedule:
   bitwise-equal to the lockstep
   :class:`~repro.cluster.coordinator.ClusterCoordinator`
   (:func:`lockstep_fix_streams`, the reference this driver is gated
-  against in ``python -m repro serve --selftest``).
+  against in ``python -m repro gate async-lockstep``).
 
 The driver is also the latency model for capacity planning: every
 arrival gets a disposition (served / duplicate / stale / shed /

@@ -5,28 +5,39 @@ staggered sessions — keeps every cluster test fast while still mixing
 sessions at different walk phases in each tick, which is what exercises
 routing, merging, and recovery for real.  The single-engine baseline
 built from the same world is the bitwise yardstick every cluster run is
-held to.
+held to.  Shard construction, session admission and the serving loop
+are the gate harness's own (:mod:`repro.gates`), so the suite and the
+``python -m repro gate`` registry drive clusters the same way.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster import (
-    ClusterCoordinator,
-    LocalShard,
-    fresh_session_entry,
-    shard_spec,
-)
+from repro.cluster import ClusterCoordinator, LocalShard
+from repro.gates import admit_sessions, events_of, make_shards, run_cluster
 from repro.serving import (
     BatchedServingEngine,
-    IntervalEvent,
     build_session_services,
     fix_stream_checksum,
     serve_batched,
 )
 from repro.sim.evaluation import multi_session_workload
+
+__all__ = [
+    "N_HOPS",
+    "N_SESSIONS",
+    "N_TRACES",
+    "admit_sessions",
+    "checksums",
+    "events_of",
+    "make_cluster",
+    "make_shards",
+    "run_cluster",
+    "single_engine_fixes",
+    "small_world",
+]
 
 N_SESSIONS = 8
 N_TRACES = 4
@@ -49,59 +60,6 @@ def small_world(study) -> World:
     return fingerprint_db, motion_db, study.config, workload
 
 
-def events_of(tick) -> List[IntervalEvent]:
-    return [
-        IntervalEvent(
-            session_id=interval.session_id,
-            scan=interval.scan,
-            imu=interval.imu,
-            sequence=interval.sequence,
-        )
-        for interval in tick
-    ]
-
-
-def make_shards(
-    world: World,
-    tmp_path,
-    n_shards: int,
-    transport=LocalShard,
-    transport_kwargs: Optional[Dict[str, object]] = None,
-    **spec_kwargs,
-) -> List[object]:
-    """``n_shards`` started transports with durable files under ``tmp_path``."""
-    fingerprint_db, motion_db, config, _ = world
-    return [
-        transport(
-            shard_spec(
-                f"shard-{index}",
-                fingerprint_db,
-                motion_db,
-                config,
-                wal_path=tmp_path / f"shard-{index}.wal",
-                checkpoint_path=tmp_path / f"shard-{index}.ckpt",
-                **spec_kwargs,
-            ),
-            **(transport_kwargs or {}),
-        )
-        for index in range(n_shards)
-    ]
-
-
-def admit_workload_sessions(
-    coordinator: ClusterCoordinator, world: World
-) -> None:
-    """Calibrate the workload's services and admit them as fresh entries."""
-    fingerprint_db, motion_db, config, workload = world
-    services = build_session_services(
-        workload, fingerprint_db, motion_db, config, resilient=True
-    )
-    for session_id in sorted(services):
-        coordinator.add_session(
-            fresh_session_entry(session_id, services[session_id])
-        )
-
-
 def make_cluster(
     world: World,
     tmp_path,
@@ -121,36 +79,8 @@ def make_cluster(
             **spec_kwargs,
         )
     )
-    admit_workload_sessions(coordinator, world)
+    admit_sessions(coordinator, world)
     return coordinator
-
-
-def run_cluster(
-    coordinator: ClusterCoordinator,
-    workload,
-    harness=None,
-    on_tick: Optional[Callable[[ClusterCoordinator], None]] = None,
-) -> Dict[str, List[object]]:
-    """Serve the whole workload; returns per-session fix streams.
-
-    Args:
-        harness: Optional ``ClusterChaosHarness`` to route ticks through.
-        on_tick: Called before each tick (e.g. to kill a shard mid-run).
-    """
-    fixes: Dict[str, List[object]] = {sid: [] for sid in workload.sessions}
-    for tick in workload.ticks:
-        if on_tick is not None:
-            on_tick(coordinator)
-        events = events_of(tick)
-        if harness is not None:
-            outcome = harness.tick(events)
-            delivered = harness.last_delivered
-        else:
-            outcome = coordinator.tick_detailed(events)
-            delivered = events
-        for event, fix in zip(delivered, outcome.fixes):
-            fixes[event.session_id].append(fix)
-    return fixes
 
 
 def single_engine_fixes(world: World) -> Dict[str, List[object]]:

@@ -23,7 +23,7 @@ from repro.serving import BatchedServingEngine, build_session_services
 from repro.serving.checkpoint import event_to_dict
 
 from cluster_helpers import (
-    admit_workload_sessions,
+    admit_sessions,
     checksums,
     events_of,
     make_cluster,
@@ -246,7 +246,7 @@ def test_admission_pump_feeds_the_cluster(world, baseline_fixes, tmp_path):
     coordinator = ClusterCoordinator(
         make_shards(world, tmp_path, 2), admission=admission
     )
-    admit_workload_sessions(coordinator, world)
+    admit_sessions(coordinator, world)
     fixes = {sid: [] for sid in workload.sessions}
     for tick in workload.ticks:
         events = events_of(tick)

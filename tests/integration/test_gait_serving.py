@@ -1,7 +1,7 @@
 """Gait subsystem end to end: bitwise-free when off, honest when attacked.
 
-The contract the ``python -m repro gait`` gate enforces in CI, asserted
-here at test scale:
+The contract ``python -m repro gate gait`` enforces in CI, asserted here
+at test scale:
 
 * with ``speed_adaptive`` off (the default), serving a *mixed-gait*
   population batched is bitwise-identical to serving it sequentially —

@@ -141,114 +141,66 @@ class TestCommands:
         assert "2 test traces" in out
 
 
+def _assert_gate_defaults(name):
+    args = build_parser().parse_args(["gate", name])
+    assert args.command == "gate" and args.names == [name]
+    assert args.all is False and args.smoke is False
+    assert args.transport == "local"
+    assert args.chaos_seed is None and args.output is None
+
+
+def _assert_gate_transport_choices(name):
+    args = build_parser().parse_args(
+        ["gate", name, "--smoke", "--transport", "process"]
+    )
+    assert args.smoke is True and args.transport == "process"
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["gate", name, "--transport", "tcp"])
+
+
 class TestClusterParser:
+    """The ``cluster`` subcommand is now ``gate sharded-single``."""
+
     def test_cluster_parses_with_defaults(self):
-        args = build_parser().parse_args(["cluster"])
-        assert args.command == "cluster"
-        assert args.shards == 2
-        assert args.transport == "local"
-        assert args.chaos_seed is None
-        assert args.workdir is None
+        _assert_gate_defaults("sharded-single")
 
     def test_cluster_transport_choices(self):
+        _assert_gate_transport_choices("sharded-single")
         args = build_parser().parse_args(
-            ["cluster", "--shards", "4", "--transport", "process"]
+            ["gate", "sharded-single", "--chaos-seed", "3"]
         )
-        assert args.shards == 4
-        assert args.transport == "process"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["cluster", "--transport", "tcp"])
-
-
-@pytest.mark.slow
-class TestClusterCommand:
-    def test_cluster_smoke_verifies_bitwise_equality(
-        self, capsys, tmp_path
-    ):
-        path = tmp_path / "cluster.json"
-        assert main(
-            [
-                "--training-traces", "60", "--test-traces", "6",
-                "cluster", "--shards", "2", "--sessions", "6",
-                "--corpus-size", "3", "--chaos-seed", "3",
-                "--workdir", str(tmp_path / "shards"),
-                "--output", str(path),
-            ]
-        ) == 0
-        capsys.readouterr()
-        document = json.loads(path.read_text())
-        assert document["report"] == "cluster"
-        assert document["equal"] is True
-        assert document["shards"] == 2
-        counters = document["coordinator"]["counters"]
-        injected = sum(
-            value
-            for name, value in counters.items()
-            if name.startswith("chaos.injected.")
-        )
-        assert injected + counters["chaos.skipped"] == document[
-            "scheduled_faults"
-        ]
-        assert counters["cluster.recoveries"] == counters[
-            "chaos.injected.worker-kill"
-        ]
-        # Metrics are in-memory state, so a killed worker's pre-checkpoint
-        # tick counts are lost on respawn: merged ticks is bounded by the
-        # lockstep total, not equal to it under a kill storm.
-        merged_ticks = document["merged_metrics"]["engine"]["counters"][
-            "engine.ticks"
-        ]
-        assert 0 < merged_ticks <= document["ticks"] * document["shards"]
+        assert args.chaos_seed == 3
 
 
 class TestEpochsParser:
+    """The ``epochs`` subcommand is now ``gate epoch-flip``."""
+
     def test_epochs_parses_with_defaults(self):
-        args = build_parser().parse_args(["epochs"])
-        assert args.command == "epochs"
-        assert args.smoke is False
-        assert args.transport == "local"
-        assert args.sessions == 8
-        assert args.corpus_size == 4
-        assert args.workdir is None
-        assert args.output is None
+        _assert_gate_defaults("epoch-flip")
 
     def test_epochs_transport_choices(self):
-        args = build_parser().parse_args(
-            ["epochs", "--smoke", "--transport", "process"]
-        )
-        assert args.smoke is True and args.transport == "process"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["epochs", "--transport", "tcp"])
+        _assert_gate_transport_choices("epoch-flip")
 
 
-@pytest.mark.slow
-class TestEpochsCommand:
-    def test_epochs_smoke_passes_every_gate(self, capsys, tmp_path):
-        path = tmp_path / "epochs.json"
-        assert main(
-            [
-                "--training-traces", "60", "--test-traces", "6",
-                "epochs", "--smoke", "--sessions", "6",
-                "--corpus-size", "3",
-                "--workdir", str(tmp_path / "shards"),
-                "--output", str(path),
-            ]
-        ) == 0
-        capsys.readouterr()
-        document = json.loads(path.read_text())
-        assert document["report"] == "epochs"
-        assert document["passed"] is True
-        assert document["gates"] == {
-            "flip_streams_equal": True,
-            "flip_survives_kill_during_prepare": True,
-            "epoch0_bitwise_free": True,
-            "flip_checksums_agree": True,
-        }
-        # The kill scenario must actually have exercised a respawn.
-        kill_run = document["runs"]["flip_2_shards_kill_during_prepare"]
-        assert kill_run["recoveries"] == 1
-        # Smoke skips the staleness sweep (the full run gates on it).
-        assert "staleness" not in document
+class TestGaitParser:
+    """The ``gait`` subcommand is now ``gate gait``."""
+
+    def test_gait_parses_with_defaults(self):
+        _assert_gate_defaults("gait")
+
+    def test_gait_transport_choices(self):
+        _assert_gate_transport_choices("gait")
+
+
+class TestGateParser:
+    def test_gate_parses_and_validates_names(self):
+        args = build_parser().parse_args(["gate", "--all"])
+        assert args.command == "gate" and args.all and args.names == []
+        args = build_parser().parse_args(["gate", "epoch-flip", "gait"])
+        assert args.names == ["epoch-flip", "gait"]
+        for argv in (["gate"], ["gate", "nope"], ["gate", "gait", "--all"]):
+            with pytest.raises(SystemExit):
+                main(argv)
 
 
 class TestMatrixCommand:
@@ -284,53 +236,3 @@ class TestMatrixCommand:
         assert len(spec_files) == document["n_environments"]
         for spec_file in spec_files:
             EnvironmentSpec.from_dict(json.loads(spec_file.read_text()))
-
-
-class TestGaitParser:
-    def test_gait_parses_with_defaults(self):
-        args = build_parser().parse_args(["gait"])
-        assert args.command == "gait"
-        assert args.smoke is False
-        assert args.transport == "local"
-        assert args.sessions == 6
-        assert args.corpus_size == 4
-        assert args.workdir is None
-        assert args.output is None
-
-    def test_gait_transport_choices(self):
-        args = build_parser().parse_args(
-            ["gait", "--smoke", "--transport", "process"]
-        )
-        assert args.smoke is True and args.transport == "process"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["gait", "--transport", "tcp"])
-
-
-@pytest.mark.slow
-class TestGaitCommand:
-    def test_gait_smoke_passes_every_gate(self, capsys, tmp_path):
-        path = tmp_path / "gait.json"
-        assert main(
-            [
-                "gait", "--smoke",
-                "--workdir", str(tmp_path / "shards"),
-                "--output", str(path),
-            ]
-        ) == 0
-        capsys.readouterr()
-        document = json.loads(path.read_text())
-        assert document["report"] == "gait"
-        assert document["passed"] is True
-        assert document["gates"] == {
-            "disabled_batched_equals_sequential": True,
-            "disabled_shard_streams_equal": True,
-            "adaptive_cluster_consistent": True,
-            "adaptive_changes_serving": True,
-            "bench_gate": True,
-            "bench_document_valid": True,
-        }
-        # Smoke benches only the paper baseline and the gated mix.
-        assert set(document["bench"]["mixes"]) == {
-            "paper-walk", "mixed-gait",
-        }
-        assert document["bench"]["gate"]["passed"] is True
