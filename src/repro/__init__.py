@@ -34,7 +34,7 @@ Package layout
     Batched multi-session serving: many concurrent sessions through one
     vectorized step per tick, bitwise-equal to the sequential path.
 ``repro.observability``
-    Zero-dependency metrics, tracing, and profiling hooks; the serving
+    Zero-dependency metrics and span tracing; the serving
     stack surfaces one JSON snapshot via ``engine.metrics_snapshot()``.
 
 Quickstart

@@ -24,7 +24,6 @@ from .motion_matching import (
 from .model_based import ModelBasedLocalizer, fit_log_distance_model
 from .particle_filter import ParticleFilterLocalizer
 from .smoothing import ViterbiSmoother
-from .updater import AdaptiveMoLocLocalizer, FingerprintUpdater
 
 __all__ = [
     "MoLocConfig",
@@ -54,6 +53,4 @@ __all__ = [
     "ModelBasedLocalizer",
     "DeadReckoningLocalizer",
     "fit_log_distance_model",
-    "FingerprintUpdater",
-    "AdaptiveMoLocLocalizer",
 ]

@@ -51,12 +51,14 @@ from ..core.fingerprint import (
     Fingerprint,
     FingerprintDatabase,
 )
+from ..core.localizer import LocationEstimate
 from ..io.serialize import fingerprint_db_from_dict, fingerprint_db_to_dict
 
 __all__ = [
     "DB_FORMAT_VERSION",
     "DEFAULT_SURVEY_WEIGHT",
     "DEFAULT_OBSERVATION_WEIGHT_CAP",
+    "CONFIRMED_FIX_PROBABILITY",
     "Observation",
     "ApRemoved",
     "ApRestored",
@@ -83,6 +85,11 @@ DEFAULT_OBSERVATION_WEIGHT_CAP = 32.0
 """Upper bound on the combined weight of one epoch's observations at a
 single location, so an observation flood (or a replay attack that
 slips past the trust layer) has bounded influence per compaction."""
+
+CONFIRMED_FIX_PROBABILITY = 0.95
+"""Posterior probability a motion-confirmed fix needs before
+:meth:`EpochalDatabase.record_fix` turns its scan into an
+:class:`Observation`."""
 
 
 def _clip(value: float) -> float:
@@ -585,6 +592,28 @@ class EpochalDatabase:
     def record(self, update: Update) -> None:
         """Queue one update for the next epoch advance."""
         self.log.record(update)
+
+    def record_fix(self, estimate: LocationEstimate, scan: Fingerprint) -> bool:
+        """Queue a served fix's scan as an :class:`Observation`, if trusted.
+
+        This is crowdsourced maintenance (paper Sec. III-B): a confident
+        fix pairs a fresh scan with a believed location.  Only a
+        motion-confirmed fix (``estimate.used_motion``) whose
+        ``estimate.probability`` reaches :data:`CONFIRMED_FIX_PROBABILITY`
+        counts — a fingerprint-only fix can be a confident twin mistake,
+        and a split posterior is twin confusion that must not poison the
+        database.
+
+        Returns:
+            Whether an observation was queued.
+        """
+        if (
+            not estimate.used_motion
+            or estimate.probability < CONFIRMED_FIX_PROBABILITY
+        ):
+            return False
+        self.record(Observation(estimate.location_id, scan.rss))
+        return True
 
     def stage(self, updates: Optional[Sequence[Update]] = None) -> EpochSnapshot:
         """Preview epoch N+1 without changing any state (pure).

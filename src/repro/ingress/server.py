@@ -55,7 +55,6 @@ from ..cluster.messages import (
     encode_message,
 )
 from ..cluster.routing import ShardRouter
-from ..cluster.worker import SegmentInternPool
 from ..io.serialize import fix_to_dict
 from ..observability import MetricsRegistry
 from ..serving.admission import AdmissionController
@@ -135,7 +134,6 @@ class IngressServer:
             )
             for shard_id in ids
         }
-        self._segments = SegmentInternPool()
         self._pending: Dict[int, _Pending] = {}
         self._work: Dict[str, asyncio.Event] = {}
         self._executors: Dict[str, ThreadPoolExecutor] = {}
@@ -479,9 +477,7 @@ class IngressServer:
             # keeps stop()'s handler gather from waiting on a future
             # nothing will ever resolve.
             return {"ok": False, "error": "ingress server stopped"}
-        event = event_from_dict(
-            request["event"], imu_from_dict=self._segments.rebuild
-        )
+        event = event_from_dict(request["event"])
         self._c_arrivals.inc()
         shard_id = self.router.route(event.session_id)
         admission = self._admission[shard_id]

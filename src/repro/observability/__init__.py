@@ -1,4 +1,4 @@
-"""Zero-dependency observability: metrics, tracing, profiling hooks.
+"""Zero-dependency observability: metrics and span tracing.
 
 The serving stack's measurement substrate:
 
@@ -6,11 +6,8 @@ The serving stack's measurement substrate:
   with counters, gauges, and fixed-bucket histograms, plus snapshot
   (JSON) and cross-registry aggregation;
 * :mod:`~repro.observability.tracing` — the :class:`SpanTracer` timing
-  named phases into latency histograms, with per-tick last-duration
-  views and error-isolated span hooks;
-* :mod:`~repro.observability.profiling` — the per-tick
-  :class:`TickProfile` payload and the :class:`TickProfiler`
-  ring-buffer hook.
+  named phases into latency histograms, with a per-tick last-duration
+  view.
 
 This package sits at the very bottom of the dependency stack (it
 imports nothing from ``repro``) so every layer — core, robustness,
@@ -27,8 +24,7 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .profiling import TickHook, TickProfile, TickProfiler
-from .tracing import SpanHook, SpanTracer
+from .tracing import SpanTracer
 
 __all__ = [
     "Counter",
@@ -38,9 +34,5 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "SpanHook",
     "SpanTracer",
-    "TickHook",
-    "TickProfile",
-    "TickProfiler",
 ]

@@ -11,9 +11,8 @@ plus two adds.  Everything is designed around three rules:
 * **Snapshots are plain JSON.**  :meth:`MetricsRegistry.snapshot`
   returns nested dicts of numbers — serializable with ``json.dumps``
   as-is, diffable, and stable in key order.
-* **Counters are monotonic.**  ``inc`` rejects negative amounts; the
-  only way down is an explicit administrative :meth:`Counter.reset`
-  (used by cache-clearing APIs that historically reset their tallies).
+* **Counters are monotonic.**  ``inc`` rejects negative amounts and
+  there is no way down.
 
 A registry can be constructed disabled
 (``MetricsRegistry(enabled=False)``), in which case every instrument it
@@ -116,10 +115,6 @@ class Counter:
                 f"counter {self.name!r} cannot decrease (inc({amount}))"
             )
         self._value += amount
-
-    def reset(self) -> None:
-        """Administrative reset to zero (cache-clear semantics only)."""
-        self._value = 0
 
 
 class Gauge:
@@ -396,12 +391,6 @@ class MetricsRegistry:
                 for name in sorted(self._histograms)
             },
         }
-
-    def reset(self) -> None:
-        """Administrative reset of every instrument."""
-        for table in (self._counters, self._gauges, self._histograms):
-            for instrument in table.values():
-                instrument.reset()
 
     # ------------------------------------------------------------------
     # Aggregation

@@ -1,33 +1,24 @@
 """Lightweight span tracing: named wall-clock phases on a hot loop.
 
 A :class:`SpanTracer` times named code regions ("spans") with
-``time.perf_counter`` and records every duration three ways:
+``time.perf_counter`` and records every duration two ways:
 
 * into a per-span latency :class:`~repro.observability.metrics.Histogram`
   in the tracer's registry (``<prefix>.<name>_s``), so distributions
   survive across ticks;
 * into :attr:`SpanTracer.last`, the most recent duration per span name —
-  the per-tick phase-timing view the serving engine exposes;
-* to any registered profiling hooks (``fn(name, duration_s)``), the
-  attach point for external profilers.
-
-Hooks run *outside* the measured region and are error-isolated: a
-raising hook increments ``<prefix>.hook_errors`` in the registry instead
-of taking down the serving loop.
+  the per-tick phase-timing view the serving engine exposes.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, Optional, Sequence
 
 from .metrics import DEFAULT_LATENCY_BUCKETS_S, MetricsRegistry
 
-__all__ = ["SpanHook", "SpanTracer"]
-
-SpanHook = Callable[[str, float], None]
-"""A profiling hook: called with ``(span_name, duration_s)`` per span."""
+__all__ = ["SpanTracer"]
 
 
 class SpanTracer:
@@ -36,8 +27,7 @@ class SpanTracer:
     Args:
         registry: Where span histograms live (a fresh registry when
             omitted).
-        prefix: Namespace for the tracer's own metrics
-            (``<prefix>.<span>_s`` histograms, ``<prefix>.hook_errors``).
+        prefix: Namespace of the span histograms (``<prefix>.<span>_s``).
         boundaries: Histogram boundaries for span durations, seconds.
     """
 
@@ -50,27 +40,7 @@ class SpanTracer:
         self.registry = registry if registry is not None else MetricsRegistry()
         self._prefix = prefix
         self._boundaries = tuple(boundaries)
-        self._hooks: List[SpanHook] = []
-        self._hook_errors = self.registry.counter(f"{prefix}.hook_errors")
         self.last: Dict[str, float] = {}
-        self.last_hook_error: Optional[str] = None
-
-    @property
-    def hooks(self) -> List[SpanHook]:
-        """The registered profiling hooks (a copy)."""
-        return list(self._hooks)
-
-    def add_hook(self, hook: SpanHook) -> None:
-        """Register a profiling hook fired after every span."""
-        self._hooks.append(hook)
-
-    def remove_hook(self, hook: SpanHook) -> None:
-        """Deregister a previously added hook.
-
-        Raises:
-            ValueError: if the hook was never registered.
-        """
-        self._hooks.remove(hook)
 
     @contextmanager
     def span(self, name: str) -> Iterator[None]:
@@ -92,13 +62,3 @@ class SpanTracer:
             f"{self._prefix}.{name}_s", self._boundaries
         ).observe(duration_s)
         self.last[name] = duration_s
-        for hook in self._hooks:
-            try:
-                hook(name, duration_s)
-            except Exception as error:
-                self._hook_errors.inc()
-                self.last_hook_error = repr(error)
-
-    def phase_snapshot(self) -> Dict[str, float]:
-        """The most recent duration of every span seen so far (a copy)."""
-        return dict(self.last)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, Sequence, Tuple, Union
 
 from ..db.epochs import Update, update_from_dict, update_to_dict
 from ..io.serialize import imu_segment_from_dict, imu_segment_to_dict
@@ -273,24 +273,6 @@ class WriteAheadLog:
                     int(payload["tick"]),
                     [event_from_dict(entry) for entry in payload["events"]],
                 )
-
-    def replay(self) -> Iterator[Tuple[int, List[IntervalEvent]]]:
-        """Yield every logged tick as ``(tick_index, events)``.
-
-        The tick-only view of :meth:`records` (epoch flip lines are
-        skipped); see there for the corruption/torn-tail contract.
-        """
-        for kind, tick, payload in self.records():
-            if kind == "tick":
-                yield tick, payload
-
-    def events_after(
-        self, tick_index: int
-    ) -> Iterator[Tuple[int, List[IntervalEvent]]]:
-        """Logged ticks strictly after ``tick_index``, in order."""
-        for tick, events in self.replay():
-            if tick > tick_index:
-                yield tick, events
 
     def records_after(
         self, tick_index: int

@@ -71,8 +71,6 @@ from ..observability import (
     DEFAULT_SIZE_BUCKETS,
     MetricsRegistry,
     SpanTracer,
-    TickHook,
-    TickProfile,
 )
 from ..robustness.health import FaultType, ServingMode
 from ..robustness.sanitizer import check_imu
@@ -105,9 +103,9 @@ EPOCHAL_CHECKPOINT_FORMAT_VERSION = 2
 :class:`~repro.db.epochs.EpochalDatabase`.  A version-1 checkpoint
 restores into an epochal engine with an implicit epoch-0 pin."""
 
-# Exceptions that must never be swallowed by per-session isolation or
-# hook error-shielding: they signal process-level failure (exhausted
-# memory, a blown stack), not a fault scoped to one session's inputs.
+# Exceptions that must never be swallowed by per-session isolation:
+# they signal process-level failure (exhausted memory, a blown stack),
+# not a fault scoped to one session's inputs.
 _NON_ISOLABLE = (MemoryError, RecursionError)
 
 
@@ -313,8 +311,6 @@ class BatchedServingEngine:
         self._estimate_cache_size = estimate_cache_size
         self._estimate_cache: "OrderedDict[tuple, object]" = OrderedDict()
         self.tracer = SpanTracer(self.metrics, prefix="engine.phase")
-        self._tick_hooks: List[TickHook] = []
-        self.last_hook_error: Optional[str] = None
         self._c_ticks = self.metrics.counter("engine.ticks")
         self._c_intervals = self.metrics.counter("engine.intervals")
         self._c_est_hits = self.metrics.counter("engine.estimate_cache.hits")
@@ -331,7 +327,6 @@ class BatchedServingEngine:
         self._c_imu_hits = self.metrics.counter("engine.memo.imu_hits")
         self._c_imu_misses = self.metrics.counter("engine.memo.imu_misses")
         self._c_memo_evictions = self.metrics.counter("engine.memo.evictions")
-        self._c_hook_errors = self.metrics.counter("engine.tick_hook_errors")
         self._c_faults = self.metrics.counter("engine.quarantine.faults")
         self._c_quarantined = self.metrics.counter(
             "engine.quarantine.entered"
@@ -529,27 +524,6 @@ class BatchedServingEngine:
     # ------------------------------------------------------------------
     # Observability surface
     # ------------------------------------------------------------------
-
-    def add_profiling_hook(self, hook: TickHook) -> None:
-        """Register a per-tick profiling hook.
-
-        The hook receives one
-        :class:`~repro.observability.TickProfile` after every tick
-        (outside the timed region).  Hooks are error-isolated: a raising
-        hook increments ``engine.tick_hook_errors`` and records its
-        repr in :attr:`last_hook_error` instead of failing the tick —
-        except for process-level failures (``MemoryError``,
-        ``RecursionError``), which are never hook-scoped and propagate.
-        """
-        self._tick_hooks.append(hook)
-
-    def remove_profiling_hook(self, hook: TickHook) -> None:
-        """Deregister a previously added tick hook.
-
-        Raises:
-            ValueError: if the hook was never registered.
-        """
-        self._tick_hooks.remove(hook)
 
     def metrics_snapshot(self) -> Dict[str, object]:
         """Everything the serving stack measures, as one JSON document.
@@ -1110,31 +1084,7 @@ class BatchedServingEngine:
         self._c_ticks.inc()
         self._c_intervals.inc(len(served) + len(duplicates))
         self._h_batch.observe(n)
-        tick_s = self.clock() - tick_started
-        self._h_tick.observe(tick_s)
-        if self._tick_hooks:
-            profile = TickProfile(
-                tick=self._c_ticks.value,
-                batch_size=n,
-                duration_s=tick_s,
-                phases=self.last_tick_phases,
-            )
-            for hook in self._tick_hooks:
-                try:
-                    hook(profile)
-                except _NON_ISOLABLE:
-                    # Exhausted memory or a blown stack is a process
-                    # problem, not a hook bug: shielding it here would
-                    # hide the failure until it strikes somewhere
-                    # unshielded.
-                    raise
-                except Exception as error:
-                    # Error-isolated like SpanTracer's hooks: count it,
-                    # keep the repr for diagnosis, serve the next tick.
-                    # A silently swallowed hook failure would read as
-                    # "profiling just stopped" with nothing to grep for.
-                    self._c_hook_errors.inc()
-                    self.last_hook_error = repr(error)
+        self._h_tick.observe(self.clock() - tick_started)
         return TickOutcome(
             fixes=fixes,
             served=tuple(served),

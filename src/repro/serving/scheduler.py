@@ -123,13 +123,6 @@ class BatchMatcher:
         """Intra-batch duplicates served off another request's row."""
         return self._c_coalesced.value
 
-    def clear_cache(self) -> None:
-        """Drop all cached candidate sets (and reset hit counters)."""
-        self._cache.clear()
-        self._c_hits.reset()
-        self._c_misses.reset()
-        self._c_coalesced.reset()
-
     def match_batch(
         self, requests: Sequence[MatchRequest]
     ) -> List[Tuple[Candidate, ...]]:

@@ -106,12 +106,6 @@ class TransitionEvaluator:
         """Whole-vector Eq. 6 lookups that had to compute."""
         return self._c_misses.value
 
-    def clear_caches(self) -> None:
-        """Drop the vector LRU (and reset hit counters)."""
-        self._set_cache.clear()
-        self._c_hits.reset()
-        self._c_misses.reset()
-
     def evaluate(
         self,
         prior: Sequence[Tuple[int, float]],

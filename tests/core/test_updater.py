@@ -1,4 +1,10 @@
-"""Tests for adaptive fingerprint maintenance."""
+"""Adaptive fingerprint maintenance through database epochs.
+
+MoLoc's fixes feed the :class:`EpochalDatabase` they are served from:
+``record_fix`` turns a trusted fix into one :class:`Observation`, and
+``advance_epoch`` folds the batch into the next epoch's database, which
+the next walk's localizer is bound to.
+"""
 
 from __future__ import annotations
 
@@ -6,136 +12,149 @@ import pytest
 
 from repro.core.config import MoLocConfig
 from repro.core.fingerprint import Fingerprint, FingerprintDatabase
+from repro.core.localizer import MoLocLocalizer
 from repro.core.motion_db import MotionDatabase, PairStatistics
-from repro.core.updater import AdaptiveMoLocLocalizer, FingerprintUpdater
+from repro.db.epochs import (
+    CONFIRMED_FIX_PROBABILITY,
+    DEFAULT_SURVEY_WEIGHT,
+    EpochalDatabase,
+    Observation,
+)
 from repro.motion.rlm import MotionMeasurement
+
+EAST_5M = MotionMeasurement(90.0, 5.0)
+_PAIR = PairStatistics(90.0, 5.0, 5.0, 0.3, 10)
+# One observation against the survey prior: it moves a mean by this
+# share of the gap.
+_ONE_OBSERVATION = 1.0 / (DEFAULT_SURVEY_WEIGHT + 1.0)
 
 
 @pytest.fixture()
 def db() -> FingerprintDatabase:
+    """Locations 1 and 2 are 5 m apart; 3 is a fingerprint twin of 2."""
     return FingerprintDatabase.from_samples(
-        {1: [[-50.0, -60.0], [-50.0, -60.0]], 2: [[-70.0, -40.0], [-70.0, -40.0]]}
+        {
+            1: [[-50.0, -60.0], [-52.0, -58.0]],
+            2: [[-70.0, -40.0], [-68.0, -42.0]],
+            3: [[-69.0, -41.0], [-69.0, -41.0]],
+        }
     )
 
 
+def bound(epochal: EpochalDatabase, twins: bool = False) -> MoLocLocalizer:
+    """MoLoc serving the current epoch (walks 1 -> 2, or 1 -> 2 or 3)."""
+    pairs = {(1, 2): _PAIR}
+    if twins:
+        pairs[(1, 3)] = _PAIR
+    return MoLocLocalizer(
+        epochal.database, MotionDatabase(pairs), MoLocConfig(k=2)
+    )
+
+
+def serve_walk(epochal: EpochalDatabase, start, end) -> bool:
+    """One walk 1 -> 2 with the given scans; whether the fix was kept."""
+    moloc = bound(epochal)
+    moloc.locate(Fingerprint.from_values(start))
+    scan = Fingerprint.from_values(end)
+    return epochal.record_fix(moloc.locate(scan, EAST_5M), scan)
+
+
 class TestValidation:
-    def test_learning_rate_bounds(self, db):
-        with pytest.raises(ValueError):
-            FingerprintUpdater(db, learning_rate=0.0)
-        with pytest.raises(ValueError):
-            FingerprintUpdater(db, learning_rate=1.5)
-
-    def test_threshold_bounds(self, db):
-        with pytest.raises(ValueError):
-            FingerprintUpdater(db, confidence_threshold=1.1)
-
     def test_unknown_location(self, db):
-        updater = FingerprintUpdater(db)
-        with pytest.raises(KeyError):
-            updater.observe(99, Fingerprint.from_values([-50, -60]), 1.0)
+        epochal = EpochalDatabase(db)
+        epochal.record(Observation(99, (-50.0, -60.0)))
+        with pytest.raises(ValueError, match="unknown location"):
+            epochal.advance_epoch()
 
     def test_scan_length_mismatch(self, db):
-        updater = FingerprintUpdater(db)
-        with pytest.raises(ValueError):
-            updater.observe(1, Fingerprint.from_values([-50.0]), 1.0)
+        epochal = EpochalDatabase(db)
+        epochal.record(Observation(1, (-50.0,)))
+        with pytest.raises(ValueError, match="APs"):
+            epochal.advance_epoch()
 
 
 class TestGating:
     def test_low_confidence_rejected(self, db):
-        updater = FingerprintUpdater(db, confidence_threshold=0.9)
-        applied = updater.observe(1, Fingerprint.from_values([-40, -70]), 0.5)
-        assert not applied
-        assert updater.updates_rejected == 1
-        assert updater.database.fingerprint_of(1).rss == (-50.0, -60.0)
+        """A split posterior between twins is confusion, not survey data."""
+        epochal = EpochalDatabase(db)
+        moloc = bound(epochal, twins=True)
+        moloc.locate(Fingerprint.from_values([-51.0, -59.0]))
+        scan = Fingerprint.from_values([-69.0, -41.0])
+        estimate = moloc.locate(scan, EAST_5M)
+        assert estimate.used_motion
+        assert estimate.probability < CONFIRMED_FIX_PROBABILITY
+        assert not epochal.record_fix(estimate, scan)
+        assert len(epochal.log) == 0
+        assert epochal.advance_epoch().checksum == epochal.snapshot(0).checksum
 
     def test_high_confidence_applied(self, db):
-        updater = FingerprintUpdater(db, learning_rate=0.1)
-        applied = updater.observe(1, Fingerprint.from_values([-40, -70]), 0.95)
-        assert applied
-        assert updater.updates_applied == 1
-        updated = updater.database.fingerprint_of(1)
-        assert updated.rss[0] == pytest.approx(-49.0)  # 0.9*-50 + 0.1*-40
-        assert updated.rss[1] == pytest.approx(-61.0)
+        epochal = EpochalDatabase(db)
+        assert serve_walk(epochal, [-51.0, -59.0], [-59.0, -49.0])
+        assert epochal.log.pending == (Observation(2, (-59.0, -49.0)),)
+        updated = epochal.advance_epoch().database.fingerprint_of(2)
+        assert updated.rss[0] == pytest.approx(-69.0 + 10.0 * _ONE_OBSERVATION)
+        assert updated.rss[1] == pytest.approx(-41.0 - 8.0 * _ONE_OBSERVATION)
 
     def test_other_locations_untouched(self, db):
-        updater = FingerprintUpdater(db)
-        updater.observe(1, Fingerprint.from_values([-40, -70]), 1.0)
-        assert updater.database.fingerprint_of(2).rss == (-70.0, -40.0)
+        epochal = EpochalDatabase(db)
+        assert serve_walk(epochal, [-51.0, -59.0], [-59.0, -49.0])
+        after = epochal.advance_epoch().database
+        assert after.fingerprint_of(1) == db.fingerprint_of(1)
+        assert after.fingerprint_of(3) == db.fingerprint_of(3)
 
     def test_statistics_preserved_through_update(self, db):
-        updater = FingerprintUpdater(db)
-        updater.observe(1, Fingerprint.from_values([-40, -70]), 1.0)
-        assert updater.database.std_of(2) == (0.0, 0.0)
+        epochal = EpochalDatabase(db)
+        assert serve_walk(epochal, [-51.0, -59.0], [-59.0, -49.0])
+        after = epochal.advance_epoch().database
+        for location_id in (1, 2, 3):
+            assert after.std_of(location_id) == db.std_of(location_id)
 
 
 class TestConvergence:
     def test_repeated_observations_converge_to_new_truth(self, db):
-        """Under persistent drift, the EMA walks to the new fingerprint."""
-        updater = FingerprintUpdater(db, learning_rate=0.2)
-        target = Fingerprint.from_values([-45.0, -65.0])
+        """AP 0 loses 8 dB: each walk's confirmed fix at location 2
+        pulls the next epoch's mean toward the new field, and the
+        untouched AP stays put."""
+        means = [db.fingerprint_of(2).rss[0]]
+        epochal = EpochalDatabase(db)
         for _ in range(60):
-            updater.observe(1, target, 1.0)
-        final = updater.database.fingerprint_of(1)
-        assert final.rss[0] == pytest.approx(-45.0, abs=0.05)
-        assert final.rss[1] == pytest.approx(-65.0, abs=0.05)
+            assert serve_walk(epochal, [-59.0, -59.0], [-77.0, -41.0])
+            epochal.advance_epoch()
+            means.append(epochal.database.fingerprint_of(2).rss[0])
+        assert means[1] == pytest.approx(-69.0 - 8.0 * _ONE_OBSERVATION)
+        assert all(new < old for old, new in zip(means, means[1:]))
+        final = epochal.database.fingerprint_of(2)
+        assert final.rss[0] == pytest.approx(-77.0, abs=0.05)
+        assert final.rss[1] == pytest.approx(-41.0)
 
     def test_single_bad_fix_barely_moves_database(self, db):
-        """Poisoning resistance: one wrong confident fix shifts the entry
-        by at most learning_rate times the scan gap."""
-        updater = FingerprintUpdater(db, learning_rate=0.05)
-        updater.observe(1, Fingerprint.from_values([-90.0, -20.0]), 1.0)
-        moved = updater.database.fingerprint_of(1)
-        assert abs(moved.rss[0] - (-50.0)) <= 0.05 * 40.0 + 1e-9
+        """Poisoning resistance: one wrong confident observation shifts
+        the entry by at most a ninth of the scan gap."""
+        epochal = EpochalDatabase(db)
+        epochal.record(Observation(1, (-90.0, -20.0)))
+        moved = epochal.advance_epoch().database.fingerprint_of(1)
+        assert abs(moved.rss[0] - (-51.0)) <= 39.0 * _ONE_OBSERVATION + 1e-9
 
 
 class TestAdaptiveLocalizer:
-    @pytest.fixture()
-    def world(self, db):
-        motion_db = MotionDatabase(
-            {(1, 2): PairStatistics(90.0, 5.0, 5.0, 0.3, 10)}
-        )
-        return db, motion_db
-
-    def test_behaves_like_moloc_initially(self, world):
-        db, motion_db = world
-        adaptive = AdaptiveMoLocLocalizer(db, motion_db, MoLocConfig(k=2))
-        estimate = adaptive.locate(Fingerprint.from_values([-50.5, -59.5]))
-        assert estimate.location_id == 1
-
-    def test_initial_fix_never_feeds_back(self, world):
+    def test_initial_fix_never_feeds_back(self, db):
         """Fingerprint-only fixes can be confident twin mistakes."""
-        db, motion_db = world
-        adaptive = AdaptiveMoLocLocalizer(db, motion_db, MoLocConfig(k=2))
-        adaptive.locate(Fingerprint.from_values([-50.0, -60.0]))
-        assert adaptive.updater.updates_applied == 0
+        epochal = EpochalDatabase(db)
+        scan = Fingerprint.from_values([-51.0, -59.0])
+        estimate = bound(epochal).locate(scan)
+        assert estimate.probability >= CONFIRMED_FIX_PROBABILITY
+        assert not epochal.record_fix(estimate, scan)
+        assert len(epochal.log) == 0
 
-    def test_confident_motion_fix_feeds_back(self, world):
-        db, motion_db = world
-        adaptive = AdaptiveMoLocLocalizer(
-            db, motion_db, MoLocConfig(k=2), learning_rate=0.5,
-            confidence_threshold=0.8,
-        )
-        adaptive.locate(Fingerprint.from_values([-50.0, -60.0]))
-        estimate = adaptive.locate(
-            Fingerprint.from_values([-68.0, -42.0]),
-            MotionMeasurement(90.0, 5.0),
-        )
+    def test_confident_motion_fix_feeds_back(self, db):
+        epochal = EpochalDatabase(db)
+        moloc = bound(epochal)
+        moloc.locate(Fingerprint.from_values([-51.0, -59.0]))
+        scan = Fingerprint.from_values([-68.0, -42.0])
+        estimate = moloc.locate(scan, EAST_5M)
         assert estimate.location_id == 2
-        assert adaptive.updater.updates_applied == 1
-        updated = adaptive.fingerprint_db.fingerprint_of(2)
-        assert updated.rss[0] == pytest.approx(-69.0)  # halfway
-
-    def test_reset_keeps_learned_database(self, world):
-        db, motion_db = world
-        adaptive = AdaptiveMoLocLocalizer(
-            db, motion_db, MoLocConfig(k=2), learning_rate=0.5,
-            confidence_threshold=0.5,
-        )
-        adaptive.locate(Fingerprint.from_values([-50.0, -60.0]))
-        adaptive.locate(
-            Fingerprint.from_values([-68.0, -42.0]),
-            MotionMeasurement(90.0, 5.0),
-        )
-        learned = adaptive.fingerprint_db.fingerprint_of(2)
-        adaptive.reset()
-        assert adaptive.fingerprint_db.fingerprint_of(2) == learned
+        assert epochal.record_fix(estimate, scan)
+        epochal.advance_epoch()
+        # The next walk's localizer serves the new epoch.
+        assert bound(epochal).fingerprint_db is epochal.snapshot(1).database
+        assert epochal.database.fingerprint_of(2) != db.fingerprint_of(2)

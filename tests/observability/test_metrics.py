@@ -25,8 +25,6 @@ def test_counter_is_monotonic():
     with pytest.raises(ValueError, match="cannot decrease"):
         counter.inc(-1)
     assert counter.value == 5
-    counter.reset()
-    assert counter.value == 0
 
 
 def test_gauge_last_write_wins():
@@ -124,18 +122,6 @@ def test_disabled_registry_hands_out_noops():
         "gauges": {},
         "histograms": {},
     }
-
-
-def test_registry_reset_clears_everything():
-    registry = MetricsRegistry()
-    registry.counter("c").inc(3)
-    registry.gauge("g").set(2)
-    registry.histogram("h", (1.0,)).observe(0.5)
-    registry.reset()
-    snapshot = registry.snapshot()
-    assert snapshot["counters"]["c"] == 0
-    assert snapshot["gauges"]["g"] is None
-    assert snapshot["histograms"]["h"]["count"] == 0
 
 
 def test_aggregate_sums_counters_and_maxes_gauges():

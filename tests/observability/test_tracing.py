@@ -1,4 +1,4 @@
-"""Contracts of the span tracer: histograms, last-view, hook isolation."""
+"""Contracts of the span tracer: histograms and the last-duration view."""
 
 from __future__ import annotations
 
@@ -15,8 +15,6 @@ def test_span_records_into_histogram_and_last():
     histogram = registry.histogram("engine.phase.prepare_s")
     assert histogram.count == 1
     assert tracer.last["prepare"] == pytest.approx(histogram.sum)
-    assert tracer.phase_snapshot() == tracer.last
-    assert tracer.phase_snapshot() is not tracer.last  # a copy
 
 
 def test_record_accepts_external_durations():
@@ -34,25 +32,3 @@ def test_span_records_even_when_body_raises():
             raise RuntimeError("boom")
     assert "match" in tracer.last
     assert tracer.registry.histogram("p.match_s").count == 1
-
-
-def test_hooks_fire_and_are_error_isolated():
-    tracer = SpanTracer(prefix="p")
-    calls = []
-    tracer.add_hook(lambda name, duration: calls.append((name, duration)))
-
-    def bad_hook(name, duration):
-        raise ValueError("hook bug")
-
-    tracer.add_hook(bad_hook)
-    assert tracer.last_hook_error is None
-    tracer.record("phase", 0.1)  # must not raise
-    assert calls == [("phase", 0.1)]
-    assert tracer.registry.counter("p.hook_errors").value == 1
-    assert "hook bug" in tracer.last_hook_error
-    tracer.remove_hook(bad_hook)
-    tracer.record("phase", 0.2)
-    assert tracer.registry.counter("p.hook_errors").value == 1
-    assert len(calls) == 2
-    with pytest.raises(ValueError):
-        tracer.remove_hook(bad_hook)  # already removed

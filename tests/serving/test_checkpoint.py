@@ -145,7 +145,8 @@ class TestKillAnywhere:
             assert fresh.tick_index == crash_after
             replayed = {sid: [] for sid in workload.sessions}
             with WriteAheadLog(wal_path, fsync=False) as wal:
-                for _, events in wal.events_after(crash_after):
+                for kind, _, events in wal.records_after(crash_after):
+                    assert kind == "tick"
                     for event, fix in zip(events, fresh.tick(events)):
                         replayed[event.session_id].append(fix)
             assert fresh.tick_index == n_ticks
@@ -230,7 +231,7 @@ class TestWriteAheadLog:
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"v": 1, "tick": 3, "eve')
         with WriteAheadLog(path, fsync=False) as wal:
-            ticks = [tick for tick, _ in wal.replay()]
+            ticks = [tick for _, tick, _ in wal.records()]
         assert ticks == [1, 2]
 
     def test_torn_tail_is_truncated_before_appending(self, tmp_path):
@@ -251,9 +252,9 @@ class TestWriteAheadLog:
         with WriteAheadLog(path, fsync=False) as wal:
             wal.append(2, [IntervalEvent("alice", [0.5])])
         with WriteAheadLog(path, fsync=False) as wal:
-            replayed = list(wal.replay())
-        assert [tick for tick, _ in replayed] == [1, 2]
-        assert replayed[1][1][0].scan == [0.5]
+            replayed = list(wal.records())
+        assert [tick for _, tick, _ in replayed] == [1, 2]
+        assert replayed[1][2][0].scan == [0.5]
 
     def test_mid_file_corruption_raises_instead_of_skipping(self, tmp_path):
         """A corrupted *served* tick must fail loudly, not vanish."""
@@ -266,23 +267,23 @@ class TestWriteAheadLog:
         path.write_text("".join(lines), encoding="utf-8")
         with WriteAheadLog(path, fsync=False) as wal:
             with pytest.raises(ValueError, match="undecodable line 2"):
-                list(wal.replay())
+                list(wal.records())
 
     def test_unsupported_version_raises(self, tmp_path):
         path = tmp_path / "future.wal"
         path.write_text('{"v": 99, "tick": 1, "events": []}\n')
         with WriteAheadLog(path, fsync=False) as wal:
             with pytest.raises(ValueError, match="unsupported WAL version"):
-                list(wal.replay())
+                list(wal.records())
 
-    def test_events_after_filters_by_tick(self, tmp_path):
+    def test_records_after_filters_by_tick(self, tmp_path):
         path = tmp_path / "tail.wal"
         with WriteAheadLog(path, fsync=False) as wal:
             for tick in (1, 2, 3):
                 wal.append(tick, [IntervalEvent("bob", [float(tick)])])
-            tail = list(wal.events_after(1))
-        assert [tick for tick, _ in tail] == [2, 3]
-        assert tail[0][1][0].scan == [2.0]
+            tail = list(wal.records_after(1))
+        assert [tick for _, tick, _ in tail] == [2, 3]
+        assert tail[0][2][0].scan == [2.0]
 
 
 finite = st.floats(allow_nan=False, allow_infinity=True, width=64)

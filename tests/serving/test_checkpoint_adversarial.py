@@ -169,7 +169,8 @@ class TestDefendedKillAnywhere:
             assert fresh.tick_index == crash_after
             replayed = {sid: [] for sid in workload.sessions}
             with WriteAheadLog(wal_path, fsync=False) as wal:
-                for _, events in wal.events_after(crash_after):
+                for kind, _, events in wal.records_after(crash_after):
+                    assert kind == "tick"
                     for event, fix in zip(events, fresh.tick(events)):
                         replayed[event.session_id].append(fix)
             assert fresh.tick_index == n_ticks

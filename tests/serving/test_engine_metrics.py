@@ -1,4 +1,4 @@
-"""The engine's observability surface: snapshots, phases, tick hooks."""
+"""The engine's observability surface: snapshots and phase timings."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.motion.pedestrian import BodyProfile
-from repro.observability import TickProfiler
 from repro.robustness import ResilientMoLocService
 from repro.serving import BatchedServingEngine, IntervalEvent
 
@@ -122,41 +121,6 @@ def test_last_tick_phases_are_disjoint_and_positive(world):
     tick_s = engine.metrics.histogram("engine.tick.latency_s").sum
     # The four phases partition the tick (modulo loop overhead).
     assert sum(phases.values()) <= tick_s
-
-
-def test_profiling_hooks_receive_profiles_and_are_isolated(world):
-    engine, make_service, study = world
-    engine.add_session("finn", make_service())
-    scan = study.test_traces[0].initial_fingerprint.rss
-    event = IntervalEvent(session_id="finn", scan=scan)
-
-    profiler = TickProfiler(max_ticks=8)
-    engine.add_profiling_hook(profiler)
-
-    def broken_hook(profile):
-        raise RuntimeError("hook bug")
-
-    engine.add_profiling_hook(broken_hook)
-    assert engine.last_hook_error is None
-    engine.tick([event])
-    engine.tick([event])
-
-    assert [profile.tick for profile in profiler.profiles] == [1, 2]
-    first = profiler.profiles[0]
-    assert first.batch_size == 1
-    assert first.duration_s > 0.0
-    assert set(first.phases) == set(PHASES)
-    assert engine.metrics.counter("engine.tick_hook_errors").value == 2
-    # The swallowed exception is still diagnosable: the last error's
-    # repr is kept alongside the counter.
-    assert "hook bug" in engine.last_hook_error
-
-    engine.remove_profiling_hook(broken_hook)
-    engine.tick([event])
-    assert engine.metrics.counter("engine.tick_hook_errors").value == 2
-    assert len(profiler.profiles) == 3
-    with pytest.raises(ValueError):
-        engine.remove_profiling_hook(broken_hook)
 
 
 def test_checkpoint_serialization_is_instrumented(world):

@@ -379,14 +379,3 @@ class TestEpochWalRecords:
         assert [
             update_from_dict(entry) for entry in payload["updates"]
         ] == updates
-
-    def test_replay_ignores_epoch_records(self, tmp_path):
-        """The legacy tick-only view stays valid on an epochal WAL."""
-        path = tmp_path / "legacy.wal"
-        with WriteAheadLog(path, fsync=False) as wal:
-            wal.append(1, [IntervalEvent("eve", [1.0])])
-            wal.append_epoch(1, 1, "dd" * 32, [ApRepowered(0, 1.0)])
-            wal.append(2, [IntervalEvent("eve", [2.0])])
-        with WriteAheadLog(path, fsync=False) as wal:
-            ticks = [tick for tick, _ in wal.replay()]
-        assert ticks == [1, 2]
