@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import List
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from ..sensors.accelerometer import GRAVITY, AccelSignal
 
@@ -36,6 +35,49 @@ _MIN_STEP_SEPARATION_S = 0.3
 
 _WALK_STD_THRESHOLD = 1.0
 """Signal standard deviation above which the user is considered walking."""
+
+
+def _find_peaks(x: np.ndarray, height: float, distance: int) -> np.ndarray:
+    """Indices of the local maxima of ``x`` at least ``height`` high and
+    at least ``distance`` samples apart.
+
+    The same indices as ``scipy.signal.find_peaks(x, height=height,
+    distance=distance)``: a peak is a run of equal samples strictly
+    higher than the runs on either side, indexed at its midpoint
+    (rounded down); runs touching either end are never peaks.  Peaks
+    below ``height`` are dropped, then the rest are pruned greedily,
+    highest first (ties broken as ``np.argsort`` orders them), removing
+    every peak closer than ``distance`` to one that was kept.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    # Run r ends at edges[r] and holds x[edges[r]]; run r + 1 holds
+    # x[edges[r] + 1].  The first run has no run before it and the final
+    # run has no edge, so neither is ever a peak.
+    edges = np.flatnonzero(x[:-1] != x[1:])
+    values, following = x[edges], x[edges + 1]
+    # Run r + 1 is a peak when it rises from run r and falls to run r + 2.
+    heights = following[:-1]
+    top = np.flatnonzero(
+        (heights > values[:-1]) & (following[1:] < values[1:]) & (heights >= height)
+    )
+    peaks = (edges[top] + 1 + edges[top + 1]) // 2
+    if peaks.size < 2:
+        return peaks
+
+    positions = peaks.tolist()
+    keep = [True] * len(positions)
+    for j in reversed(np.argsort(heights[top]).tolist()):
+        if not keep[j]:
+            continue
+        k = j - 1
+        while k >= 0 and positions[j] - positions[k] < distance:
+            keep[k] = False
+            k -= 1
+        k = j + 1
+        while k < len(positions) and positions[k] - positions[j] < distance:
+            keep[k] = False
+            k += 1
+    return peaks[keep]
 
 
 def is_walking(signal: AccelSignal) -> bool:
@@ -63,7 +105,7 @@ def detect_step_times(signal: AccelSignal) -> List[float]:
         return []
     threshold = float(samples.mean()) + 0.4 * float(samples.max() - samples.mean())
     min_distance = max(int(_MIN_STEP_SEPARATION_S * signal.rate_hz), 1)
-    indices, _ = find_peaks(samples, height=threshold, distance=min_distance)
+    indices = _find_peaks(samples, threshold, min_distance)
 
     times = []
     for idx in indices:

@@ -7,12 +7,113 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.motion.step_counting import (
+    _find_peaks,
     count_steps_csc,
     count_steps_dsc,
     detect_step_times,
     is_walking,
 )
 from repro.sensors.accelerometer import AccelerometerModel
+
+try:
+    from scipy.signal import find_peaks as scipy_find_peaks
+except ImportError:  # scipy is only the test oracle, from the `test` extra
+    scipy_find_peaks = None
+
+
+def _flat_top_at_an_end(values):
+    """A run of the signal's maximum touching the start or the end."""
+
+    def attach(spec):
+        signal, width, at_start = spec
+        top = [max(signal, default=0.0)] * width
+        return top + signal if at_start else signal + top
+
+    return st.tuples(values, st.integers(1, 10), st.booleans()).map(attach)
+
+
+_floats = st.lists(st.floats(-5.0, 5.0, allow_nan=False), max_size=80)
+_rounded = _floats.map(lambda values: [round(v, 1) for v in values])
+_small_integer = st.lists(st.integers(0, 3).map(float), max_size=80)
+_signals = st.one_of(
+    _floats,
+    _rounded,
+    _small_integer,
+    st.tuples(st.integers(0, 60), st.integers(-3, 3)).map(
+        lambda spec: [float(spec[1])] * spec[0]
+    ),
+    _flat_top_at_an_end(_rounded),
+    _flat_top_at_an_end(_small_integer),
+    st.lists(st.floats(-5.0, 5.0, allow_nan=False), max_size=2),
+)
+
+
+@st.composite
+def _peak_problems(draw):
+    """A signal, a height within (or just outside) its range, a distance."""
+    samples = np.asarray(draw(_signals), dtype=np.float64)
+    if samples.size and draw(st.booleans()):
+        height = float(samples[draw(st.integers(0, samples.size - 1))])
+    else:
+        low, high = (samples.min(), samples.max()) if samples.size else (0.0, 0.0)
+        height = float(low + draw(st.floats(-0.1, 1.1)) * (high - low))
+    return samples, height, draw(st.integers(1, 40))
+
+
+def _production_problem(signal):
+    """The threshold and distance `detect_step_times` picks for a signal."""
+    samples = signal.samples
+    threshold = float(samples.mean()) + 0.4 * float(samples.max() - samples.mean())
+    return samples, threshold, max(int(0.3 * signal.rate_hz), 1)
+
+
+def _assert_matches_scipy(samples, height, distance):
+    expected, _ = scipy_find_peaks(samples, height=height, distance=distance)
+    found = _find_peaks(samples, height, distance)
+    assert found.dtype == expected.dtype
+    np.testing.assert_array_equal(found, expected)
+
+
+@pytest.mark.skipif(scipy_find_peaks is None, reason="scipy is not installed")
+class TestFindPeaksOracle:
+    """`_find_peaks` returns exactly `scipy.signal.find_peaks`'s indices."""
+
+    @given(problem=_peak_problems())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_scipy_on_synthetic_signals(self, problem):
+        _assert_matches_scipy(*problem)
+
+    @given(
+        walking=st.booleans(),
+        duration=st.floats(min_value=0.5, max_value=8.0),
+        period=st.floats(min_value=0.4, max_value=0.7),
+        rate_hz=st.sampled_from([10.0, 25.0, 50.0]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scipy_on_accelerometer_signals(
+        self, walking, duration, period, rate_hz, seed
+    ):
+        model = AccelerometerModel(rate_hz=rate_hz)
+        rng = np.random.default_rng(seed)
+        signal = model.walking(duration, period, rng) if walking else model.idle(duration, rng)
+        if len(signal.samples):
+            _assert_matches_scipy(*_production_problem(signal))
+
+
+class TestFindPeaksRules:
+    def test_plateau_peak_at_its_midpoint(self):
+        samples = np.array([0.0, 1.0, 2.0, 2.0, 2.0, 2.0, 1.0, 0.0])
+        np.testing.assert_array_equal(_find_peaks(samples, 0.0, 1), [3])
+
+    def test_runs_touching_an_end_are_never_peaks(self):
+        samples = np.array([3.0, 3.0, 1.0, 2.0, 1.0, 3.0])
+        np.testing.assert_array_equal(_find_peaks(samples, 0.0, 1), [3])
+
+    def test_distance_keeps_the_higher_peak(self):
+        samples = np.array([0.0, 2.0, 0.0, 3.0, 0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(_find_peaks(samples, 0.0, 3), [3])
+        np.testing.assert_array_equal(_find_peaks(samples, 0.0, 2), [1, 3, 5])
 
 
 @pytest.fixture()
