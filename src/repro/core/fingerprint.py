@@ -34,6 +34,9 @@ RSS_CEILING_DBM = 0.0
 """No phone ever reports a WiFi RSS above 0 dBm; stronger values are
 sensor garbage."""
 
+_NEAREST_BLOCK = 256
+"""Queries per difference tensor in :meth:`FingerprintDatabase.nearest_many`."""
+
 
 @dataclass(frozen=True)
 class Fingerprint:
@@ -312,6 +315,34 @@ class FingerprintDatabase:
         """
         dissimilarities = self.dissimilarities(query, active_aps)
         return min(dissimilarities, key=lambda lid: (dissimilarities[lid], lid))
+
+    def nearest_many(self, queries: Sequence[Fingerprint]) -> List[int]:
+        """:meth:`nearest` for every query, in query order.
+
+        ``(B, L, A)`` difference tensors reduced by
+        ``np.einsum("bij,bij->bi", ...)``: each row accumulates in the
+        order the 2-D kernel of :meth:`distance_vector` does, so every
+        estimate equals :meth:`nearest`'s.  ``argmin`` keeps the first
+        of equal distances, the lowest id, as :meth:`nearest` does.
+        """
+        if not queries:
+            return []
+        for query in queries:
+            if query.n_aps != self._n_aps:
+                raise ValueError(
+                    f"query has {query.n_aps} APs but database stores {self._n_aps}"
+                )
+        ids = self._matrix_ids
+        nearest: List[int] = []
+        # Blocks of queries bound the difference tensor's size.
+        for start in range(0, len(queries), _NEAREST_BLOCK):
+            block = np.stack(
+                [q.as_array() for q in queries[start : start + _NEAREST_BLOCK]]
+            )
+            diff = self._mean_matrix[np.newaxis, :, :] - block[:, np.newaxis, :]
+            distances = np.sqrt(np.einsum("bij,bij->bi", diff, diff))
+            nearest.extend(ids[i] for i in np.argmin(distances, axis=1).tolist())
+        return nearest
 
     def truncated(self, n_aps: int) -> "FingerprintDatabase":
         """A database restricted to the first ``n_aps`` APs (AP-count sweeps)."""

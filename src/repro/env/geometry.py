@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
+
+import numpy as np
 
 __all__ = [
     "Point",
@@ -27,6 +29,8 @@ __all__ = [
     "bearing_difference",
     "reverse_bearing",
     "circular_mean",
+    "circular_mean_rows",
+    "circular_means",
     "circular_std",
     "segments_intersect",
     "polyline_length",
@@ -120,21 +124,69 @@ def circular_mean(bearings: Sequence[float]) -> float:
 
     The arithmetic mean is wrong for angles near the 0/360 wrap-around
     (e.g. the mean of 350 and 10 degrees should be 0, not 180), so the
-    motion-database builder uses this instead.
+    motion-database builder uses this instead.  A one-row call of
+    :func:`circular_mean_rows`.
 
     Raises:
         ValueError: if ``bearings`` is empty or the mean is undefined
             (perfectly opposed directions cancelling out).
     """
-    if len(bearings) == 0:
-        raise ValueError("circular mean of no bearings is undefined")
-    sin_sum = sum(math.sin(math.radians(b)) for b in bearings)
-    cos_sum = sum(math.cos(math.radians(b)) for b in bearings)
-    if math.hypot(sin_sum, cos_sum) < 1e-12:
-        raise ValueError("circular mean is undefined for uniformly opposed bearings")
-    # Compass convention: atan2(sin-part, cos-part) with x/y swapped relative
-    # to the mathematical convention, matching bearing_between.
-    return normalize_bearing(math.degrees(math.atan2(sin_sum, cos_sum)))
+    mean = circular_mean_rows(np.asarray(bearings, dtype=np.float64).reshape(1, -1))[0]
+    if isinstance(mean, str):
+        raise ValueError(mean)
+    return mean
+
+
+def circular_mean_rows(bearings: np.ndarray) -> List[Union[float, str]]:
+    """The circular mean of every row of an ``(n, L)`` bearing matrix.
+
+    Each row gets the value the sequential definition gives bit for bit:
+    ``atan2`` of the left-to-right sums of the row's sines and cosines,
+    in degrees and normalized.  The sines and cosines are computed for
+    the whole matrix at once, the sums run sequentially along each row
+    (``cumsum``, never numpy's pairwise ``sum``), and ``math.atan2`` and
+    ``math.hypot`` run per row, since their numpy twins round
+    differently.  A row whose mean is undefined gets the reason instead
+    of a value: the message :func:`circular_mean` raises.
+    """
+    n, length = bearings.shape
+    if length == 0:
+        return ["circular mean of no bearings is undefined"] * n
+    radians = np.radians(bearings)
+    with np.errstate(invalid="ignore"):
+        # An infinite bearing has no sine: such rows are reported below.
+        sin_sums = np.cumsum(np.sin(radians), axis=1)[:, -1]
+        cos_sums = np.cumsum(np.cos(radians), axis=1)[:, -1]
+    infinite = np.isinf(bearings).any(axis=1).tolist()
+    means: List[Union[float, str]] = []
+    for sin_sum, cos_sum, bad in zip(sin_sums.tolist(), cos_sums.tolist(), infinite):
+        if bad:
+            means.append("math domain error")
+        elif math.hypot(sin_sum, cos_sum) < 1e-12:
+            means.append("circular mean is undefined for uniformly opposed bearings")
+        else:
+            # Compass convention: atan2(sin-part, cos-part) with x/y
+            # swapped relative to the mathematical convention, matching
+            # bearing_between.
+            means.append(normalize_bearing(math.degrees(math.atan2(sin_sum, cos_sum))))
+    return means
+
+
+def circular_means(rows: Sequence[Sequence[float]]) -> List[Union[float, str]]:
+    """:func:`circular_mean_rows` over rows of any lengths, in row order.
+
+    Rows are stacked by length, one matrix per length.
+    """
+    by_length: Dict[int, List[int]] = {}
+    for index, row in enumerate(rows):
+        by_length.setdefault(len(row), []).append(index)
+    means: List[Union[float, str]] = [0.0] * len(rows)
+    for length, indices in by_length.items():
+        matrix = np.array([rows[i] for i in indices], dtype=np.float64)
+        stack_means = circular_mean_rows(matrix.reshape(len(indices), length))
+        for index, mean in zip(indices, stack_means):
+            means[index] = mean
+    return means
 
 
 def circular_std(bearings: Sequence[float]) -> float:

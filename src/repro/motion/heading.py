@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence, Tuple
 
-from ..env.geometry import circular_mean, normalize_bearing
+from ..env.geometry import circular_mean, circular_means, normalize_bearing
 
 __all__ = [
     "mean_compass_heading",
@@ -44,14 +44,22 @@ def estimate_placement_offset(
         normalized to ``[0, 360)``.
 
     Raises:
-        ValueError: if ``calibration`` is empty.
+        ValueError: if ``calibration`` is empty, or a segment's mean
+            heading is undefined.
+
+    Every segment's heading comes from one
+    :func:`~repro.env.geometry.circular_means` call.
     """
-    per_segment_offsets = [
-        normalize_bearing(mean_compass_heading(readings) - course)
-        for readings, course in calibration
-    ]
-    if not per_segment_offsets:
+    pairs = list(calibration)
+    if not pairs:
         raise ValueError("placement-offset estimation needs at least one segment")
+    per_segment_offsets = []
+    for heading, (_, course) in zip(
+        circular_means([readings for readings, _ in pairs]), pairs
+    ):
+        if isinstance(heading, str):
+            raise ValueError(heading)
+        per_segment_offsets.append(normalize_bearing(heading - course))
     return circular_mean(per_segment_offsets)
 
 

@@ -14,10 +14,14 @@ from typing import Literal
 
 from ..env.geometry import normalize_bearing, reverse_bearing
 from ..sensors.imu import ImuSegment
-from .heading import course_from_readings
-from .step_counting import count_steps_csc, count_steps_dsc
+from .kernel import SegmentMotion, segment_motions
 
-__all__ = ["MotionMeasurement", "RlmObservation", "extract_measurement"]
+__all__ = [
+    "MotionMeasurement",
+    "RlmObservation",
+    "extract_measurement",
+    "measurement_from",
+]
 
 
 @dataclass(frozen=True)
@@ -87,6 +91,9 @@ def extract_measurement(
 ) -> MotionMeasurement:
     """Turn one interval's IMU recording into a motion measurement.
 
+    A one-row call of :func:`~repro.motion.kernel.segment_motions`,
+    finished by :func:`measurement_from`.
+
     Args:
         segment: The IMU recording of the interval.
         step_length_m: The user's step length as estimated from their
@@ -98,15 +105,36 @@ def extract_measurement(
             Sec. IV-B1.
 
     Raises:
-        ValueError: for a non-positive step length or unknown counter.
+        ValueError: for a non-positive step length, an unknown counter,
+            or an undefined compass heading.
+    """
+    return measurement_from(
+        segment_motions([segment])[0], step_length_m, placement_offset_deg, counting
+    )
+
+
+def measurement_from(
+    motion: SegmentMotion,
+    step_length_m: float,
+    placement_offset_deg: float,
+    counting: Literal["csc", "dsc"] = "csc",
+) -> MotionMeasurement:
+    """The motion measurement of one segment's kernel row.
+
+    The walker-dependent part of :func:`extract_measurement`: callers
+    holding many segments compute their rows in one
+    :func:`~repro.motion.kernel.segment_motions` call and finish each
+    row here.  Arguments and errors are :func:`extract_measurement`'s.
     """
     if step_length_m <= 0:
         raise ValueError(f"step length must be positive, got {step_length_m}")
     if counting == "csc":
-        steps = count_steps_csc(segment.accel)
+        steps = motion.steps.csc_steps
     elif counting == "dsc":
-        steps = count_steps_dsc(segment.accel)
+        steps = motion.steps.dsc_steps
     else:
         raise ValueError(f"unknown step counting mode {counting!r}")
-    direction = course_from_readings(segment.compass_readings, placement_offset_deg)
-    return MotionMeasurement(direction_deg=direction, offset_m=steps * step_length_m)
+    return MotionMeasurement(
+        direction_deg=motion.course_deg(placement_offset_deg),
+        offset_m=steps * step_length_m,
+    )

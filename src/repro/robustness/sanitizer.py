@@ -30,6 +30,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.fingerprint import RSS_CEILING_DBM, RSS_FLOOR_DBM, Fingerprint
+from ..motion.kernel import SegmentMotion, segment_motions
 from ..sensors.imu import ImuSegment
 from .health import FaultType
 
@@ -242,8 +243,18 @@ class ImuCheck(NamedTuple):
     tripped: Optional[str]
 
 
-def check_imu(imu: Optional[ImuSegment]) -> ImuCheck:
+def check_imu(
+    imu: Optional[ImuSegment], motion: Optional[SegmentMotion] = None
+) -> ImuCheck:
     """Whether an IMU segment is credible enough to extract motion from.
+
+    Args:
+        imu: The segment, or None when none arrived.
+        motion: The segment's row of
+            :func:`~repro.motion.kernel.segment_motions`, when the caller
+            already computed it for a whole batch; computed here (a
+            one-row call) otherwise.  The checks are scalar decisions
+            over the row.
 
     Returns:
         An :class:`ImuCheck` — ``usable`` is False for a missing
@@ -255,16 +266,17 @@ def check_imu(imu: Optional[ImuSegment]) -> ImuCheck:
     """
     if imu is None:
         return ImuCheck(False, (FaultType.IMU_DROPOUT,), "missing")
-    samples = np.asarray(imu.accel.samples, dtype=float)
-    readings = np.asarray(imu.compass_readings, dtype=float)
-    if samples.size == 0 or readings.size == 0:
+    if len(imu.accel.samples) == 0 or len(imu.compass_readings) == 0:
         return ImuCheck(False, (FaultType.IMU_DROPOUT,), "empty")
-    if not np.isfinite(samples).all() or not np.isfinite(readings).all():
+    if motion is None:
+        motion = segment_motions([imu])[0]
+    if not (motion.steps.finite and motion.compass_finite):
         return ImuCheck(False, (FaultType.IMU_DROPOUT,), "non-finite")
-    if float(samples.std()) < _FLAT_LINE_ACCEL_STD:
+    if motion.steps.std < _FLAT_LINE_ACCEL_STD:
         return ImuCheck(False, (FaultType.IMU_DROPOUT,), "flat-line")
-    if readings.size >= 2:
-        steps = np.abs((np.diff(readings) + 180.0) % 360.0 - 180.0)
-        if float(steps.mean()) > _MAX_CREDIBLE_HEADING_STEP_DEG:
-            return ImuCheck(False, (FaultType.IMU_SPOOF,), "heading-rate")
+    if (
+        motion.heading_step_deg is not None
+        and motion.heading_step_deg > _MAX_CREDIBLE_HEADING_STEP_DEG
+    ):
+        return ImuCheck(False, (FaultType.IMU_SPOOF,), "heading-rate")
     return ImuCheck(True, (), None)

@@ -40,6 +40,7 @@ from ..core.fingerprint import FingerprintDatabase
 from ..core.matching import Candidate
 from ..core.motion_db import MotionDatabase
 from ..env.floorplan import FloorPlan
+from ..motion.kernel import SegmentMotion, segment_motions
 from ..motion.pedestrian import BodyProfile
 from ..motion.rlm import MotionMeasurement
 from ..observability import MetricsRegistry
@@ -347,6 +348,7 @@ class ResilientMoLocService(MoLocService):
                 else:
                     active_aps = combined
 
+        motion: Optional[SegmentMotion] = None
         if imu is None:
             imu_usable = False
             if self._fix_count > 0:
@@ -358,7 +360,9 @@ class ResilientMoLocService(MoLocService):
             if precomputed is not None and precomputed.imu_check is not None:
                 imu_check = precomputed.imu_check
             else:
-                imu_check = check_imu(imu)
+                # One kernel row serves both the check and the extraction.
+                motion = segment_motions([imu])[0]
+                imu_check = check_imu(imu, motion)
             imu_usable = imu_check[0]
             faults.extend(imu_check[1])
 
@@ -374,7 +378,7 @@ class ResilientMoLocService(MoLocService):
                 measurement, steps = precomputed.motion
                 self._last_steps = steps
             else:
-                measurement = self._motion_from(imu)
+                measurement = self._motion_from(imu, motion)
         else:
             # Satellite-fix semantics: without step counts this interval,
             # stride personalization must not pair the upcoming hop with a

@@ -37,10 +37,10 @@ from .core.matching import Candidate
 from .core.motion_db import MotionDatabase
 from .motion.heading import estimate_placement_offset
 from .motion.kalman_heading import fused_course_from_segment
+from .motion.kernel import SegmentMotion, segment_motions
 from .motion.pedestrian import BodyProfile
 from .motion.rlm import MotionMeasurement
 from .motion.stride import StepLengthEstimator
-from .motion.step_counting import count_steps_csc, is_walking
 from .observability import MetricsRegistry
 from .sensors.imu import ImuSegment
 
@@ -455,7 +455,7 @@ class MoLocService:
                 self._speed = SpeedEstimator(self._config)
 
     def extract_motion(
-        self, imu: ImuSegment
+        self, imu: ImuSegment, motion: Optional[SegmentMotion] = None
     ) -> Tuple[Optional[MotionMeasurement], Optional[float]]:
         """Pure motion extraction: ``(measurement, steps)`` for a segment.
 
@@ -464,6 +464,15 @@ class MoLocService:
         flag — exactly the key the serving engine memoizes on when many
         sessions replay the same recorded segment.
 
+        Args:
+            imu: The segment.
+            motion: The segment's row of
+                :func:`~repro.motion.kernel.segment_motions`, when the
+                caller computed it for a whole batch; computed here (a
+                one-row call) otherwise.  Only the session-dependent
+                part runs here: placement offset, stride, speed-adaptive
+                rescaling and gyro fusion.
+
         Raises:
             RuntimeError: if heading calibration has not run.
         """
@@ -471,19 +480,17 @@ class MoLocService:
             raise RuntimeError(
                 "heading calibration has not run; call calibrate_heading first"
             )
-        if not is_walking(imu.accel):
+        if motion is None:
+            motion = segment_motions([imu])[0]
+        if not motion.steps.walking:
             # Standing still: an explicit zero-offset measurement lets the
             # localizer prefer the self-transition.
             return MotionMeasurement(direction_deg=0.0, offset_m=0.0), None
-        steps = count_steps_csc(imu.accel)
+        steps = motion.steps.csc_steps
         if self._use_gyro_fusion and imu.gyro_rates_dps is not None:
             direction = fused_course_from_segment(imu, self._placement_offset_deg)
         else:
-            from .motion.heading import course_from_readings
-
-            direction = course_from_readings(
-                imu.compass_readings, self._placement_offset_deg
-            )
+            direction = motion.course_deg(self._placement_offset_deg)
         step_length = self._stride.step_length_m
         if self._speed is not None and steps > 0 and imu.duration_s > 0:
             # Speed-adaptive sessions rescale the stride by the observed
@@ -501,7 +508,9 @@ class MoLocService:
         )
         return measurement, steps
 
-    def _motion_from(self, imu: ImuSegment) -> Optional[MotionMeasurement]:
-        measurement, steps = self.extract_motion(imu)
+    def _motion_from(
+        self, imu: ImuSegment, motion: Optional[SegmentMotion] = None
+    ) -> Optional[MotionMeasurement]:
+        measurement, steps = self.extract_motion(imu, motion)
         self._last_steps = steps
         return measurement

@@ -9,7 +9,9 @@ engine multiplexes them through a single vectorized step per tick:
    IMU checks, mode selection, motion extraction.  Motion extraction and
    IMU checks are pure in the segment (plus calibration state), so the
    engine memoizes them across sessions — concurrent users replaying
-   the same recorded walk share the work.
+   the same recorded walk share the work — and computes the tick's memo
+   misses in one call of the batched motion kernel
+   (:func:`~repro.motion.kernel.segment_motions`).
 2. **match** — all prepared fingerprints stack into one ``(B, L, A)``
    tensor and reduce with a single einsum against the cached mean
    matrix (:class:`~repro.serving.scheduler.BatchMatcher`), behind a
@@ -66,6 +68,7 @@ from ..core.matching import Candidate
 from ..core.motion_db import MotionDatabase
 from ..db.epochs import EpochSnapshot, EpochalDatabase, Update
 from ..io.serialize import fix_from_dict, fix_to_dict
+from ..motion.kernel import SegmentMotion, segment_motions
 from ..observability import (
     DEFAULT_BYTE_BUCKETS,
     DEFAULT_SIZE_BUCKETS,
@@ -874,6 +877,7 @@ class BatchedServingEngine:
         # sessions are skipped until their backoff expires (the retry
         # is simply their next event), stale ones are dropped.
         with self.tracer.span("prepare"):
+            motions = self._segment_motions(events)
             for slot, event in enumerate(events):
                 if event.session_id not in self.sessions:
                     unroutable.append(event.session_id)
@@ -902,7 +906,9 @@ class BatchedServingEngine:
                 try:
                     if self.fault_injector is not None:
                         self.fault_injector("prepare", event.session_id)
-                    precomputed = self._precompute(record.service, event.imu)
+                    precomputed = self._precompute(
+                        record.service, event.imu, motions
+                    )
                     prepared_list[slot] = record.service.prepare_interval(
                         event.scan, event.imu, precomputed=precomputed
                     )
@@ -1135,10 +1141,55 @@ class BatchedServingEngine:
             del self._ref_pins[segment_id]
             del self._motion_refs[segment_id]
 
+    def _segment_motions(
+        self, events: Sequence[IntervalEvent]
+    ) -> Dict[int, SegmentMotion]:
+        """One kernel call for the tick's memo misses, keyed on segment id().
+
+        A segment is computed when its IMU check is not memoized, or
+        when a calibrated session's motion under its current state key
+        is not.  Nothing here touches session or memo state.  Should the
+        kernel raise, no row is returned and :meth:`_precompute`
+        computes each segment alone, inside its session's fault
+        isolation, so one malformed segment faults only its own session.
+        """
+        if self._motion_memo_size == 0:
+            return {}
+        pending: Dict[int, ImuSegment] = {}
+        for event in events:
+            imu = event.imu
+            if (
+                imu is None
+                or id(imu) in pending
+                or event.session_id not in self.sessions
+            ):
+                continue
+            segment_id = id(imu)
+            service = self.sessions.get(event.session_id).service
+            if segment_id not in self._imu_checks or (
+                service.is_calibrated
+                and (segment_id, service.motion_state_key) not in self._motion_memo
+            ):
+                pending[segment_id] = imu
+        try:
+            return dict(zip(pending, segment_motions(list(pending.values()))))
+        except _NON_ISOLABLE:
+            raise
+        except Exception:
+            return {}
+
     def _precompute(
-        self, service: MoLocService, imu: Optional[ImuSegment]
+        self,
+        service: MoLocService,
+        imu: Optional[ImuSegment],
+        motions: Optional[Dict[int, SegmentMotion]] = None,
     ) -> Optional[PrecomputedInputs]:
         """Memoized IMU check + motion extraction for one session's segment.
+
+        On a memo miss the check and the session-dependent part of the
+        extraction run over the segment's row of ``motions`` (the tick's
+        kernel call); a segment missing there (an eviction earlier in
+        this tick, or no ``motions`` given) is computed alone.
 
         Both memos are LRU: a full memo evicts its single oldest entry
         (releasing that entry's ref pin) before inserting — entries
@@ -1149,12 +1200,15 @@ class BatchedServingEngine:
         if imu is None or self._motion_memo_size == 0:
             return None
         segment_id = id(imu)
+        motion_row = None if motions is None else motions.get(segment_id)
         imu_check = self._imu_checks.get(segment_id)
         if imu_check is not None:
             self._imu_checks.move_to_end(segment_id)
             self._c_imu_hits.inc()
         else:
-            imu_check = check_imu(imu)
+            if motion_row is None:
+                motion_row = segment_motions([imu])[0]
+            imu_check = check_imu(imu, motion_row)
             if len(self._imu_checks) >= self._motion_memo_size:
                 evicted_id, _ = self._imu_checks.popitem(last=False)
                 self._unpin(evicted_id)
@@ -1172,7 +1226,7 @@ class BatchedServingEngine:
                 self._motion_memo.move_to_end(key)
                 self._c_motion_hits.inc()
             else:
-                motion = service.extract_motion(imu)
+                motion = service.extract_motion(imu, motion_row)
                 if len(self._motion_memo) >= self._motion_memo_size:
                     evicted_key, _ = self._motion_memo.popitem(last=False)
                     self._unpin(evicted_key[0])

@@ -24,7 +24,8 @@ import numpy as np
 from ..core.fingerprint import Fingerprint, FingerprintDatabase
 from ..motion.heading import estimate_placement_offset
 from ..motion.pedestrian import Pedestrian, random_walk_path
-from ..motion.rlm import RlmObservation, extract_measurement
+from ..motion.kernel import segment_motions
+from ..motion.rlm import RlmObservation, measurement_from
 from ..motion.trace import TraceHop, WalkTrace
 from .gait import (
     GAIT_PROFILES,
@@ -329,22 +330,36 @@ def observations_from_traces(
     Query fingerprints are truncated to the database's AP count, so the
     same traces can train motion databases for 4-, 5-, and 6-AP setups.
     """
-    observations = []
     n_aps = fingerprint_db.n_aps
-    for trace in traces:
-        def estimate(fingerprint: Fingerprint) -> int:
-            query = (
-                fingerprint.truncated(n_aps)
-                if fingerprint.n_aps > n_aps
-                else fingerprint
-            )
-            return fingerprint_db.nearest(query)
 
-        previous_estimate = estimate(trace.initial_fingerprint)
-        for hop in trace.hops:
-            arrival_estimate = estimate(hop.arrival_fingerprint)
-            measurement = extract_measurement(
-                hop.imu,
+    def query(fingerprint: Fingerprint) -> Fingerprint:
+        if fingerprint.n_aps > n_aps:
+            return fingerprint.truncated(n_aps)
+        return fingerprint
+
+    # Every endpoint estimate in one nearest_many call, every motion in
+    # one kernel call: per trace, its initial fingerprint then one
+    # arrival fingerprint per hop.
+    estimates = iter(
+        fingerprint_db.nearest_many(
+            [
+                query(fingerprint)
+                for trace in traces
+                for fingerprint in [trace.initial_fingerprint]
+                + [hop.arrival_fingerprint for hop in trace.hops]
+            ]
+        )
+    )
+    motions = iter(
+        segment_motions([hop.imu for trace in traces for hop in trace.hops])
+    )
+    observations = []
+    for trace in traces:
+        previous_estimate = next(estimates)
+        for _ in trace.hops:
+            arrival_estimate = next(estimates)
+            measurement = measurement_from(
+                next(motions),
                 step_length_m=trace.estimated_step_length_m,
                 placement_offset_deg=trace.placement_offset_estimate_deg,
                 counting=counting,

@@ -23,7 +23,8 @@ import numpy as np
 
 from ..core.fingerprint import Fingerprint
 from ..env.floorplan import FloorPlan
-from ..motion.rlm import extract_measurement
+from ..motion.kernel import SegmentMotion, segment_motions
+from ..motion.rlm import measurement_from
 from ..motion.trace import WalkTrace
 from ..observability import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 from ..sensors.imu import ImuSegment
@@ -151,6 +152,7 @@ def evaluate_localizer(
             return fingerprint.truncated(n_aps)
         return fingerprint
 
+    motions = iter(_hop_motions(traces))
     evaluated = []
     for trace in traces:
         localizer.reset()
@@ -161,8 +163,8 @@ def evaluate_localizer(
             _record(plan, trace.true_start, estimate, is_initial=True)
         )
         for hop in trace.hops:
-            measurement = extract_measurement(
-                hop.imu,
+            measurement = measurement_from(
+                next(motions),
                 step_length_m=trace.estimated_step_length_m,
                 placement_offset_deg=trace.placement_offset_estimate_deg,
                 counting=counting,
@@ -175,6 +177,11 @@ def evaluate_localizer(
             )
         evaluated.append(TraceEvaluation(user=trace.user, records=records))
     return EvaluationResult(traces=evaluated)
+
+
+def _hop_motions(traces: Sequence[WalkTrace]) -> List[SegmentMotion]:
+    """Every hop's kernel row, trace by trace, from one kernel call."""
+    return segment_motions([hop.imu for trace in traces for hop in trace.hops])
 
 
 def _record(
@@ -253,19 +260,20 @@ def evaluate_smoother(
             return fingerprint.truncated(n_aps)
         return fingerprint
 
+    hop_motions = iter(_hop_motions(traces))
     evaluated = []
     for trace in traces:
         fingerprints = [truncate(trace.initial_fingerprint)] + [
             truncate(hop.arrival_fingerprint) for hop in trace.hops
         ]
         motions = [
-            extract_measurement(
-                hop.imu,
+            measurement_from(
+                next(hop_motions),
                 step_length_m=trace.estimated_step_length_m,
                 placement_offset_deg=trace.placement_offset_estimate_deg,
                 counting=counting,
             )
-            for hop in trace.hops
+            for _ in trace.hops
         ]
         path = smoother.smooth(fingerprints, motions)
         records = []

@@ -8,6 +8,9 @@ caches sound.
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.core.config import MoLocConfig
@@ -17,6 +20,7 @@ from repro.serving import (
     BatchedServingEngine,
     IntervalEvent,
     SessionManager,
+    fix_stream_checksum,
 )
 from repro.service import MoLocService
 
@@ -150,3 +154,48 @@ def test_session_manager_standalone():
         manager.get("x")
     with pytest.raises(KeyError):
         manager.remove("x")
+
+
+def test_malformed_segment_faults_only_its_own_session(world):
+    """The tick's batched motion kernel keeps per-session fault isolation.
+
+    A segment the kernel cannot stack (a 2-D accelerometer array, as a
+    nested list on the wire decodes to) faults its session alone; the
+    other session in the same tick is served exactly as it is alone.
+    """
+    _, make_service, study = world
+    trace = study.test_traces[0]
+    hop = trace.hops[0]
+    broken = dataclasses.replace(
+        hop.imu,
+        accel=dataclasses.replace(
+            hop.imu.accel, samples=np.stack([hop.imu.accel.samples] * 2)
+        ),
+    )
+
+    def serve(with_broken_session):
+        engine = BatchedServingEngine(
+            study.fingerprint_db(6), study.motion_db(6)[0], study.config
+        )
+        ids = ["alice", "bob"] if with_broken_session else ["alice"]
+        for session_id in ids:
+            service = make_service()
+            service.calibrate_heading(
+                [
+                    (h.imu.compass_readings, h.imu.true_course_deg)
+                    for h in trace.hops[:2]
+                ]
+            )
+            engine.add_session(session_id, service)
+        first = trace.initial_fingerprint.rss
+        engine.tick([IntervalEvent(sid, first) for sid in ids])
+        events = [IntervalEvent("alice", hop.arrival_fingerprint.rss, hop.imu)]
+        if with_broken_session:
+            events.append(IntervalEvent("bob", hop.arrival_fingerprint.rss, broken))
+        return engine.tick_detailed(events)
+
+    alone = serve(False)
+    mixed = serve(True)
+    assert mixed.served == ("alice",)
+    assert [fault.session_id for fault in mixed.faulted] == ["bob"]
+    assert fix_stream_checksum(mixed.fixes[:1]) == fix_stream_checksum(alone.fixes)
