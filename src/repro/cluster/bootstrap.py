@@ -98,8 +98,9 @@ def shard_spec(
         body_height_m: Body profile height for restored services (the
             checkpointed stride state overrides its step length).
         checkpoint_every: Write the checkpoint file every N ticks (0
-            disables periodic checkpoints; membership changes always
-            checkpoint).
+            disables periodic checkpoints; handoff, restore and epoch
+            commit always checkpoint, and admissions and removals go to
+            the WAL).
         tick_budget_s: Optional per-tick deadline for the shard engine.
         clock: The shard engine's time source — ``"monotonic"``
             (``time.perf_counter``, wall-clock deadlines) or

@@ -13,20 +13,27 @@ calls it from a spawned child's receive loop, and because both push
 every message through the same encode/decode pair, the in-process
 transport is an honest double for the multiprocess one.
 
-Durability discipline (the same one PR 4's kill-at-every-tick test
-proves exact):
+Durability discipline (the kill-at-every-tick and
+kill-at-every-admission tests prove it exact):
 
-* every ``tick`` request's events are appended to the WAL *before*
-  serving, so a crash mid-tick loses no input;
+* every ``tick`` request's events, every epoch commit, and every
+  ``add_session`` / ``remove_session`` is appended to the WAL *before*
+  the engine acts and before the response is sent, so a crash mid-op
+  loses nothing that was acknowledged.  An admission is validated
+  (the session built from its entry) before it is logged, so every
+  logged admission replays;
 * the checkpoint file is rewritten (atomically: temp file + ``rename``)
-  after every membership change — session admission, migration handoff,
-  restore — *before* the response is sent, and every
-  ``checkpoint_every`` ticks as a replay-shortening optimization;
-* on construction, a worker that finds its checkpoint file recovers
-  itself: restore the checkpoint, replay the WAL tail
-  (:func:`~repro.serving.checkpoint.recover_engine`).  Supervised
-  respawn is therefore just "build the worker again from the same
-  spec".
+  every ``checkpoint_every`` ticks, and at migration handoff, restore
+  and epoch commit.  Each write first logs a marker carrying the
+  checkpoint's content digest, which tells recovery exactly which
+  records the checkpoint folds — admissions logged at the
+  checkpoint's own tick included;
+* on construction, a worker that finds its checkpoint file or a
+  non-empty WAL recovers itself: restore the checkpoint (if any),
+  replay the WAL after its marker
+  (:func:`~repro.serving.checkpoint.recover_engine`).  A first boot
+  finds neither and reports ``recovered: false``.  Supervised respawn
+  is therefore just "build the worker again from the same spec".
 
 Re-delivery after recovery: when the coordinator re-sends the tick a
 dead worker never answered, the tick index is *at or below* the
@@ -35,7 +42,10 @@ routes that request through
 :meth:`~repro.serving.engine.BatchedServingEngine.replay_tick`, which
 answers every sequenced event idempotently from the duplicate cache
 without advancing the durable tick index — bitwise the same fixes,
-no timeline drift.
+no timeline drift.  Admissions and removals are idempotent in the same
+way: re-admitting a hosted session with exactly its current state, or
+removing a session the shard no longer hosts, is acknowledged without
+a new record.
 """
 
 from __future__ import annotations
@@ -51,6 +61,7 @@ from ..io.serialize import imu_segment_from_dict
 from ..sensors.imu import ImuSegment
 from ..serving.checkpoint import (
     WriteAheadLog,
+    checkpoint_digest,
     event_from_dict,
     recover_engine,
 )
@@ -118,8 +129,8 @@ class ShardWorker:
     Args:
         spec: A :func:`~repro.cluster.bootstrap.shard_spec` dict.  The
             worker recovers itself from the spec's checkpoint file and
-            WAL when the checkpoint file exists (a respawn); otherwise
-            it starts empty (first boot).
+            WAL when either holds anything (a respawn); otherwise it
+            starts empty (first boot).
     """
 
     def __init__(self, spec: Dict[str, object]) -> None:
@@ -133,11 +144,16 @@ class ShardWorker:
         self.engine: BatchedServingEngine = engine
         self._make_service: Callable[[str], MoLocService] = make_service
         self.recovered_ticks = 0
-        self.recovered = self._checkpoint_path.exists()
         self.wal = WriteAheadLog(spec["wal_path"], fsync=bool(spec["fsync"]))
+        checkpoint = (
+            self._checkpoint_path.read_text(encoding="utf-8")
+            if self._checkpoint_path.exists()
+            else None
+        )
+        self.recovered = (
+            checkpoint is not None or self.wal.path.stat().st_size > 0
+        )
         if self.recovered:
-            with self._checkpoint_path.open("r", encoding="utf-8") as handle:
-                checkpoint = json.load(handle)
             self.recovered_ticks = recover_engine(
                 self.engine, checkpoint, self.wal, self._make_service
             )
@@ -147,14 +163,23 @@ class ShardWorker:
     # ------------------------------------------------------------------
 
     def write_checkpoint(self) -> None:
-        """Atomically persist the engine's current checkpoint."""
-        document = self.engine.checkpoint()
+        """Atomically persist the engine's current checkpoint.
+
+        Its WAL marker is logged first (see
+        :meth:`~repro.serving.checkpoint.WriteAheadLog.append_checkpoint`);
+        the file holds exactly
+        :meth:`~repro.serving.engine.BatchedServingEngine.checkpoint_json`.
+        """
+        text = self.engine.checkpoint_json()
+        self.wal.append_checkpoint(
+            self.engine.tick_index, checkpoint_digest(text)
+        )
         tmp = self._checkpoint_path.with_suffix(
             self._checkpoint_path.suffix + ".tmp"
         )
         tmp.parent.mkdir(parents=True, exist_ok=True)
         with tmp.open("w", encoding="utf-8") as handle:
-            json.dump(document, handle, sort_keys=True)
+            handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, self._checkpoint_path)
@@ -195,15 +220,9 @@ class ShardWorker:
                 "recovered_ticks": self.recovered_ticks,
             }
         if op == "add_session":
-            record = self.engine.load_session(
-                request["entry"], self._make_service
-            )
-            self.write_checkpoint()
-            return {"ok": True, "session_id": record.session_id}
+            return self._handle_add_session(request["entry"])
         if op == "remove_session":
-            self.engine.remove_session(request["session_id"])
-            self.write_checkpoint()
-            return {"ok": True}
+            return self._handle_remove_session(request["session_id"])
         if op == "tick":
             return self._handle_tick(request)
         if op == "handoff":
@@ -341,6 +360,39 @@ class ShardWorker:
         self._staged_epoch = None
         self.write_checkpoint()
         return {"ok": True, "epoch": self.engine.epoch_id}
+
+    def _handle_add_session(
+        self, entry: Dict[str, object]
+    ) -> Dict[str, object]:
+        """Build the session, log the admission, then register it.
+
+        A session this shard already hosts is a supervised re-delivery
+        (the worker died after logging, before replying) when its
+        current state is exactly the entry: acknowledged, not re-logged.
+        Any other duplicate is refused.
+        """
+        session_id = entry["session_id"]
+        if session_id in self.engine.sessions:
+            hosted = self.engine.checkpoint_session(session_id)
+            if json.dumps(hosted, sort_keys=True) != json.dumps(
+                entry, sort_keys=True
+            ):
+                raise ClusterWireError(
+                    f"shard {self.shard_id!r} already hosts session "
+                    f"{session_id!r} in a different state"
+                )
+            return {"ok": True, "session_id": session_id}
+        record = self.engine.build_session(entry, self._make_service)
+        self.wal.append_admission(self.engine.tick_index, entry)
+        self.engine.admit(record)
+        return {"ok": True, "session_id": session_id}
+
+    def _handle_remove_session(self, session_id: str) -> Dict[str, object]:
+        """Log the removal, then drop the session (idempotent)."""
+        if session_id in self.engine.sessions:
+            self.wal.append_removal(self.engine.tick_index, session_id)
+            self.engine.remove_session(session_id)
+        return {"ok": True}
 
     def _handle_tick(self, request: Dict[str, object]) -> Dict[str, object]:
         tick = int(request["tick"])

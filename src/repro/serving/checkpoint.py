@@ -5,15 +5,19 @@ Two pieces make serving kill-anywhere recoverable:
 * :meth:`~repro.serving.engine.BatchedServingEngine.checkpoint` — a
   point-in-time snapshot of every session's full state (see the method
   for what is and is not carried);
-* the :class:`WriteAheadLog` here — every tick's events, serialized and
-  flushed to disk *before* the tick is served.
+* the :class:`WriteAheadLog` here — every tick's events, epoch flip,
+  session admission and removal, serialized and flushed to disk
+  *before* the engine acts on it, plus a marker naming each checkpoint
+  (by content digest) at the point it was taken.
 
 Recovery (:func:`recover_engine`) loads the newest checkpoint into a
-fresh engine and replays the logged events after the checkpoint's tick
-index.  Because serving is deterministic in (session state, events),
-the replay regenerates the post-checkpoint fix stream *bitwise* — the
-kill-at-every-tick test in ``tests/serving/test_checkpoint.py`` asserts
-exactly that for every possible crash point.
+fresh engine and replays the logged records after the checkpoint's
+marker, in file order.  Because serving is deterministic in (session
+state, events), the replay regenerates the post-checkpoint fix stream
+*bitwise* — the kill-at-every-tick test in
+``tests/serving/test_checkpoint.py`` asserts exactly that for every
+possible crash point, and ``tests/cluster/test_recovery.py`` for every
+admission and removal.
 
 Two determinism caveats the replay handles:
 
@@ -27,10 +31,20 @@ Two determinism caveats the replay handles:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Callable, Dict, Iterator, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..db.epochs import Update, update_from_dict, update_to_dict
 from ..io.serialize import imu_segment_from_dict, imu_segment_to_dict
@@ -40,13 +54,28 @@ from .engine import BatchedServingEngine, IntervalEvent
 
 __all__ = [
     "WAL_FORMAT_VERSION",
+    "checkpoint_digest",
     "event_to_dict",
     "event_from_dict",
     "WriteAheadLog",
     "recover_engine",
 ]
 
-WAL_FORMAT_VERSION = 1
+#: Version 2 added session admission/removal records and checkpoint
+#: markers.  Version 1 lines (ticks and epoch flips, unchanged in shape)
+#: still read, so a log written before the upgrade recovers.
+WAL_FORMAT_VERSION = 2
+_READABLE_VERSIONS = (1, WAL_FORMAT_VERSION)
+
+
+def checkpoint_digest(text: str) -> str:
+    """The content digest a WAL checkpoint marker names a checkpoint by.
+
+    Args:
+        text: The checkpoint's JSON text, exactly as written to disk
+            (:meth:`~repro.serving.engine.BatchedServingEngine.checkpoint_json`).
+    """
+    return hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
 
 
 def event_to_dict(event: IntervalEvent) -> Dict[str, object]:
@@ -89,26 +118,38 @@ def event_from_dict(
 
 
 class WriteAheadLog:
-    """An append-only, per-tick event log (JSON lines).
+    """An append-only log of everything that changes serving state.
 
-    Usage discipline: call :meth:`append` with a tick's events *before*
-    handing them to the engine.  Then a crash mid-tick loses no input —
-    on recovery the logged events replay against the last checkpoint
-    and the interrupted tick simply runs again.
+    Usage discipline: append a record *before* the engine acts on it.
+    Then a crash mid-act loses no input — on recovery the logged records
+    replay against the last checkpoint and the interrupted act simply
+    runs again.
 
-    Each line is one tick:
-    ``{"v": 1, "tick": <index>, "events": [...]}`` where ``tick`` is
-    the engine tick index the events were served under (1-based,
-    matching :attr:`~repro.serving.engine.BatchedServingEngine.tick_index`
-    after the tick).
+    Each line is one JSON record, ``{"v": 2, "tick": <index>, ...}``,
+    where ``tick`` is the engine's
+    :attr:`~repro.serving.engine.BatchedServingEngine.tick_index` the
+    record belongs to, and exactly one more key says what it is:
+
+    * ``"events"`` — a tick's interval events (:meth:`append`); ``tick``
+      is the index the tick is served under (1-based, the engine's
+      index *after* the tick);
+    * ``"epoch"`` — an epoch flip committed after that tick
+      (:meth:`append_epoch`);
+    * ``"admit"`` — a session admitted after that tick, as its
+      checkpoint entry (:meth:`append_admission`);
+    * ``"remove"`` — the id of a session removed after that tick
+      (:meth:`append_removal`);
+    * ``"checkpoint"`` — the content digest of a checkpoint taken at
+      exactly this point of the log (:meth:`append_checkpoint`), so
+      recovery knows which records the checkpoint already folds.
 
     Args:
         path: The log file; created (with parents) if missing, appended
             to if present.  A pre-existing file that does not end in a
             newline lost its tail to a crash mid-append: the torn
             fragment is truncated away before appending, so a recovered
-            process never concatenates its first new tick onto it (which
-            would silently lose *that* tick on the next replay).
+            process never concatenates its first new record onto it
+            (which would silently lose *that* record on the next replay).
         fsync: Whether to fsync after every append.  True is the
             durability contract (survives OS crash, not just process
             crash); tests may pass False for speed.
@@ -163,22 +204,24 @@ class WriteAheadLog:
         """The log file."""
         return self._path
 
-    def append(
-        self, tick_index: int, events: Sequence[IntervalEvent]
-    ) -> None:
-        """Durably log one tick's events (call before serving them)."""
+    def _write(self, tick_index: int, **record: object) -> None:
+        """Durably append one record line."""
         line = json.dumps(
-            {
-                "v": WAL_FORMAT_VERSION,
-                "tick": tick_index,
-                "events": [event_to_dict(event) for event in events],
-            },
+            {"v": WAL_FORMAT_VERSION, "tick": tick_index, **record},
             sort_keys=True,
         )
         self._handle.write(line + "\n")
         self._handle.flush()
         if self._fsync:
             os.fsync(self._handle.fileno())
+
+    def append(
+        self, tick_index: int, events: Sequence[IntervalEvent]
+    ) -> None:
+        """Durably log one tick's events (call before serving them)."""
+        self._write(
+            tick_index, events=[event_to_dict(event) for event in events]
+        )
 
     def append_epoch(
         self,
@@ -192,25 +235,47 @@ class WriteAheadLog:
         Written *before* the flip is applied (same append-before-act
         discipline as ticks), so a process killed mid-commit replays the
         flip on recovery and lands on the same epoch it promised the
-        cluster.  Only epochal deployments ever write these lines; a
-        pre-epoch WAL stays byte-stable.
+        cluster.  Only epochal deployments ever write these lines.
         """
-        line = json.dumps(
-            {
-                "v": WAL_FORMAT_VERSION,
-                "tick": tick_index,
-                "epoch": {
-                    "target": target_epoch,
-                    "checksum": checksum,
-                    "updates": [update_to_dict(u) for u in updates],
-                },
+        self._write(
+            tick_index,
+            epoch={
+                "target": target_epoch,
+                "checksum": checksum,
+                "updates": [update_to_dict(u) for u in updates],
             },
-            sort_keys=True,
         )
-        self._handle.write(line + "\n")
-        self._handle.flush()
-        if self._fsync:
-            os.fsync(self._handle.fileno())
+
+    def append_admission(
+        self, tick_index: int, entry: Dict[str, object]
+    ) -> None:
+        """Durably log a session admitted after ``tick_index``.
+
+        ``entry`` is the session's checkpoint entry (the unit
+        :meth:`~repro.serving.engine.BatchedServingEngine.load_session`
+        takes); log it only once the engine has validated it
+        (:meth:`~repro.serving.engine.BatchedServingEngine.build_session`),
+        so every logged admission replays.
+        """
+        self._write(tick_index, admit=entry)
+
+    def append_removal(self, tick_index: int, session_id: str) -> None:
+        """Durably log a session removed after ``tick_index``."""
+        self._write(tick_index, remove=session_id)
+
+    def append_checkpoint(self, tick_index: int, digest: str) -> None:
+        """Mark where a checkpoint is taken (call before writing it).
+
+        Recovery from that checkpoint replays exactly the records after
+        its marker.  A crash between the marker and the checkpoint's
+        write leaves the older checkpoint on disk, whose own marker
+        sits earlier in the log, so the replay is exact either way.
+
+        Args:
+            tick_index: The engine's tick index at the checkpoint.
+            digest: :func:`checkpoint_digest` of the checkpoint text.
+        """
+        self._write(tick_index, checkpoint=digest)
 
     def close(self) -> None:
         """Close the underlying file handle."""
@@ -222,29 +287,14 @@ class WriteAheadLog:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def records(self) -> Iterator[Tuple[str, int, object]]:
-        """Yield every logged record in file order.
-
-        Each record is ``("tick", tick_index, events)`` for a served
-        tick or ``("epoch", tick_index, payload)`` for an epoch flip
-        committed after that tick, where ``payload`` is the decoded
-        ``{"target", "checksum", "updates"}`` dict.  Only a torn
-        *final* line (the process died mid-write) is tolerated and
-        skipped: its record was by construction never acted on.  An
-        undecodable line anywhere *else* means a served record was
-        corrupted, and skipping it would replay into a silently
-        divergent state — so it raises instead.
-
-        Raises:
-            ValueError: for an undecodable non-final line (mid-file
-                corruption), or a *well-formed* line of an unsupported
-                version (format drift is an error, torn tails are not).
-        """
+    def _payloads(self) -> List[Dict[str, object]]:
+        """Every record line, JSON-decoded and version-checked."""
         if not self._path.exists():
-            return
+            return []
         self._handle.flush()
         with self._path.open("r", encoding="utf-8") as handle:
             lines = handle.readlines()
+        payloads = []
         for number, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line:
@@ -256,46 +306,101 @@ class WriteAheadLog:
                     continue
                 raise ValueError(
                     f"corrupt WAL: undecodable line {number} of "
-                    f"{len(lines)} in {self._path} — a served tick is "
+                    f"{len(lines)} in {self._path} — a logged record is "
                     "unrecoverable, refusing to replay past it"
                 ) from error
             version = payload.get("v")
-            if version != WAL_FORMAT_VERSION:
+            if version not in _READABLE_VERSIONS:
                 raise ValueError(
                     f"unsupported WAL version {version} "
-                    f"(supported: {WAL_FORMAT_VERSION})"
+                    f"(supported: {', '.join(map(str, _READABLE_VERSIONS))})"
                 )
-            if "epoch" in payload:
-                yield "epoch", int(payload["tick"]), payload["epoch"]
-            else:
-                yield (
-                    "tick",
-                    int(payload["tick"]),
-                    [event_from_dict(entry) for entry in payload["events"]],
-                )
+            payloads.append(payload)
+        return payloads
+
+    @staticmethod
+    def _decode(payload: Dict[str, object]) -> Tuple[str, int, object]:
+        tick = int(payload["tick"])
+        for kind in ("epoch", "admit", "remove", "checkpoint"):
+            if kind in payload:
+                return kind, tick, payload[kind]
+        return (
+            "tick",
+            tick,
+            [event_from_dict(entry) for entry in payload["events"]],
+        )
+
+    def records(self) -> Iterator[Tuple[str, int, object]]:
+        """Yield every logged record in file order.
+
+        Each record is ``(kind, tick_index, payload)``:
+
+        * ``("tick", t, events)`` for a served tick;
+        * ``("epoch", t, {"target", "checksum", "updates"})`` for an
+          epoch flip committed after tick ``t``;
+        * ``("admit", t, entry)`` / ``("remove", t, session_id)`` for a
+          session admitted / removed after tick ``t``;
+        * ``("checkpoint", t, digest)`` for a checkpoint marker.
+
+        Only a torn *final* line (the process died mid-write) is
+        tolerated and skipped: its record was by construction never
+        acted on.  An undecodable line anywhere *else* means a logged
+        record was corrupted, and skipping it would replay into a
+        silently divergent state — so it raises instead.
+
+        Raises:
+            ValueError: for an undecodable non-final line (mid-file
+                corruption), or a *well-formed* line of an unsupported
+                version (format drift is an error, torn tails are not).
+        """
+        for payload in self._payloads():
+            yield self._decode(payload)
 
     def records_after(
-        self, tick_index: int
+        self, tick_index: int, marker: Optional[str] = None
     ) -> Iterator[Tuple[str, int, object]]:
-        """Records a recovery from tick ``tick_index`` must act on.
+        """Records a recovery from a checkpoint must act on, in order.
 
-        Tick records strictly after the index, plus epoch flips at *or*
-        after it: a flip logged at the checkpoint's own tick may or may
-        not already be folded into the checkpoint (the crash could land
-        between the flip and the next checkpoint write), so it is
-        yielded and the consumer skips it when the checkpoint's epoch
-        already covers it.
+        Args:
+            tick_index: The checkpoint's tick index.
+            marker: The checkpoint's :func:`checkpoint_digest`.  When
+                the log holds a marker with this digest, the records
+                after the last such marker are yielded — exactly the
+                ones the checkpoint does not fold.
+
+        Without a matching marker (a checkpoint written by a caller
+        that does not log markers), the checkpoint is taken to fold
+        everything logged up to its tick: ticks, admissions and
+        removals strictly after the index are yielded, plus epoch flips
+        at *or* after it — a flip logged at the checkpoint's own tick
+        may or may not already be folded in, so it is yielded and the
+        consumer skips it when the checkpoint's epoch already covers it.
+        Checkpoint markers themselves are never yielded.
         """
-        for kind, tick, payload in self.records():
-            if kind == "tick" and tick > tick_index:
-                yield kind, tick, payload
-            elif kind == "epoch" and tick >= tick_index:
-                yield kind, tick, payload
+        payloads = self._payloads()
+        start = None
+        if marker is not None:
+            for index, payload in enumerate(payloads):
+                if payload.get("checkpoint") == marker:
+                    start = index + 1
+        if start is not None:
+            for payload in payloads[start:]:
+                if "checkpoint" not in payload:
+                    yield self._decode(payload)
+            return
+        for payload in payloads:
+            if "checkpoint" in payload:
+                continue
+            tick = int(payload["tick"])
+            if tick > tick_index or (
+                "epoch" in payload and tick == tick_index
+            ):
+                yield self._decode(payload)
 
 
 def recover_engine(
     engine: BatchedServingEngine,
-    checkpoint: Dict[str, object],
+    checkpoint: Union[Dict[str, object], str, None],
     wal: WriteAheadLog,
     make_service: Callable[[str], MoLocService],
 ) -> int:
@@ -305,7 +410,12 @@ def recover_engine(
         engine: A freshly constructed engine (same databases/config as
             the crashed one; no sessions yet).
         checkpoint: The newest available
-            :meth:`~repro.serving.engine.BatchedServingEngine.checkpoint`.
+            :meth:`~repro.serving.engine.BatchedServingEngine.checkpoint`,
+            as the document or as the JSON text written to disk (the
+            text's digest finds its WAL marker exactly; a document is
+            digested in its ``sort_keys`` encoding).  ``None`` when no
+            checkpoint was ever written: the whole log replays onto the
+            fresh engine.
         wal: The write-ahead log the crashed process appended to.
         make_service: Per-session service factory, as in
             :meth:`~repro.serving.engine.BatchedServingEngine.restore`.
@@ -313,17 +423,37 @@ def recover_engine(
     Returns:
         The number of ticks replayed from the log.
 
-    The tick budget is suspended for the replay: shedding is a
-    load-shedding response to *live* overload, and replaying a backlog
-    as fast as possible must not re-shed (or shed differently than) the
-    original run — determinism of the recovered state wins.
+    Admissions and removals replay in file order between the ticks, so
+    the recovered engine hosts the same sessions, registered in the
+    same order, as the crashed one.  The tick budget is suspended for
+    the replay: shedding is a load-shedding response to *live*
+    overload, and replaying a backlog as fast as possible must not
+    re-shed (or shed differently than) the original run — determinism
+    of the recovered state wins.
     """
-    engine.restore(checkpoint, make_service)
+    if checkpoint is None:
+        tail = wal.records()
+    else:
+        if isinstance(checkpoint, str):
+            text, checkpoint = checkpoint, json.loads(checkpoint)
+        else:
+            text = json.dumps(checkpoint, sort_keys=True)
+        engine.restore(checkpoint, make_service)
+        tail = wal.records_after(engine.tick_index, checkpoint_digest(text))
     budget, engine.tick_budget_s = engine.tick_budget_s, None
     replayed = 0
     try:
-        for kind, _, payload in wal.records_after(engine.tick_index):
-            if kind == "epoch":
+        # Checkpoint markers fall through every branch: they only
+        # locate checkpoints.
+        for kind, _, payload in tail:
+            if kind == "tick":
+                engine.tick(payload)
+                replayed += 1
+            elif kind == "admit":
+                engine.load_session(payload, make_service)
+            elif kind == "remove":
+                engine.remove_session(payload)
+            elif kind == "epoch":
                 target = int(payload["target"])
                 if target <= engine.epoch_id:
                     # Already folded into the checkpoint (or replayed
@@ -336,9 +466,6 @@ def recover_engine(
                     ],
                     expected_checksum=payload["checksum"],
                 )
-                continue
-            engine.tick(payload)
-            replayed += 1
     finally:
         engine.tick_budget_s = budget
     return replayed

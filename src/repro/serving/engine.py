@@ -566,6 +566,16 @@ class BatchedServingEngine:
                 different fingerprint database, or a config that does
                 not match the engine's (the caches assume one config).
         """
+        return self.admit(
+            SessionRecord(session_id=session_id, service=service)
+        )
+
+    def _check_admissible(
+        self, session_id: str, service: MoLocService
+    ) -> None:
+        """Raise the ValueError :meth:`admit` would raise, if any."""
+        if session_id in self.sessions:
+            raise ValueError(f"session {session_id!r} already registered")
         if service.fingerprint_db is not self._fingerprint_db:
             raise ValueError(
                 "session service uses a different fingerprint database "
@@ -576,7 +586,15 @@ class BatchedServingEngine:
                 "session service config differs from the engine's; the "
                 "engine's transition caches assume a single config"
             )
-        record = self.sessions.add(session_id, service)
+
+    def admit(self, record: SessionRecord) -> SessionRecord:
+        """Register a built session record (see :meth:`build_session`).
+
+        Raises:
+            ValueError: as :meth:`add_session`.
+        """
+        self._check_admissible(record.session_id, record.service)
+        self.sessions.insert(record)
         self._g_sessions.set(len(self.sessions))
         return record
 
@@ -608,6 +626,18 @@ class BatchedServingEngine:
             A JSON-compatible dict (round-trips through
             :func:`repro.io.serialize.save_json`).
         """
+        return self._checkpoint()[0]
+
+    def checkpoint_json(self) -> str:
+        """:meth:`checkpoint` as ``json.dumps(..., sort_keys=True)`` text.
+
+        The document is encoded once, by the same call that sizes it for
+        the ``checkpoint.bytes`` histogram, so a caller that writes the
+        checkpoint to disk pays for one encoding, not two.
+        """
+        return self._checkpoint()[1]
+
+    def _checkpoint(self) -> Tuple[Dict[str, object], str]:
         started = time.perf_counter()
         document = {
             "format_version": (
@@ -630,7 +660,7 @@ class BatchedServingEngine:
         encoded = json.dumps(document, sort_keys=True)
         self._h_ckpt_encode.observe(time.perf_counter() - started)
         self._h_ckpt_bytes.observe(len(encoded.encode("utf-8")))
-        return document
+        return document, encoded
 
     def _session_entry(self, record: SessionRecord) -> Dict[str, object]:
         """One session's full serving state as a checkpoint entry."""
@@ -675,29 +705,50 @@ class BatchedServingEngine:
         """Register one session from a checkpoint entry.
 
         The inverse of :meth:`checkpoint_session`; :meth:`restore` is a
-        loop of these.  ``make_service`` builds the fresh service the
-        entry's state is loaded into (same kind, same databases and
-        config — the entry carries state, not the deployment).
+        loop of these.  Equivalent to :meth:`build_session` then
+        :meth:`admit`.
 
         Raises:
             ValueError: for a duplicate session id or a service bound
                 to different databases/config (see :meth:`add_session`).
         """
+        return self.admit(self.build_session(entry, make_service))
+
+    def build_session(
+        self,
+        entry: Dict[str, object],
+        make_service: Callable[[str], MoLocService],
+    ) -> SessionRecord:
+        """The session a checkpoint entry describes, not yet registered.
+
+        ``make_service`` builds the fresh service the entry's state is
+        loaded into (same kind, same databases and config — the entry
+        carries state, not the deployment).  Every check :meth:`admit`
+        makes is made here too, so a caller can validate an admission
+        (and log it durably) before the engine changes at all.
+
+        Raises:
+            ValueError: for a duplicate session id or a service bound
+                to different databases/config (see :meth:`add_session`),
+                and whatever the entry's malformed fields raise.
+        """
         started = time.perf_counter()
         session_id = entry["session_id"]
         service = make_service(session_id)
         service.load_state_dict(entry["service"])
-        record = self.add_session(session_id, service)
-        record.intervals_served = int(entry["intervals_served"])
+        self._check_admissible(session_id, service)
         last_sequence = entry["last_sequence"]
-        record.last_sequence = (
-            None if last_sequence is None else int(last_sequence)
-        )
-        record.strikes = int(entry["strikes"])
-        record.quarantined_until = int(entry["quarantined_until"])
         last_fix = entry["last_fix"]
-        record.last_fix = (
-            None if last_fix is None else fix_from_dict(last_fix)
+        record = SessionRecord(
+            session_id=session_id,
+            service=service,
+            intervals_served=int(entry["intervals_served"]),
+            last_fix=None if last_fix is None else fix_from_dict(last_fix),
+            last_sequence=(
+                None if last_sequence is None else int(last_sequence)
+            ),
+            strikes=int(entry["strikes"]),
+            quarantined_until=int(entry["quarantined_until"]),
         )
         self._h_ckpt_restore.observe(time.perf_counter() - started)
         return record

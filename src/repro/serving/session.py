@@ -134,10 +134,21 @@ class SessionManager:
         Raises:
             ValueError: if the id is already registered.
         """
-        if session_id in self._sessions:
-            raise ValueError(f"session {session_id!r} already registered")
-        record = SessionRecord(session_id=session_id, service=service)
-        self._sessions[session_id] = record
+        return self.insert(
+            SessionRecord(session_id=session_id, service=service)
+        )
+
+    def insert(self, record: SessionRecord) -> SessionRecord:
+        """Register a built record (restored state included).
+
+        Raises:
+            ValueError: if its id is already registered.
+        """
+        if record.session_id in self._sessions:
+            raise ValueError(
+                f"session {record.session_id!r} already registered"
+            )
+        self._sessions[record.session_id] = record
         return record
 
     def get(self, session_id: str) -> SessionRecord:

@@ -9,6 +9,9 @@ answers re-deliveries idempotently.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.chaos import ChaosHarness, FaultKind, FaultPlan, FaultSpec
@@ -19,8 +22,9 @@ from repro.cluster import (
     ShardDown,
     fresh_session_entry,
 )
+from repro.cluster.core import supervised_request
 from repro.serving import BatchedServingEngine, build_session_services
-from repro.serving.checkpoint import event_to_dict
+from repro.serving.checkpoint import WriteAheadLog, event_to_dict
 
 from cluster_helpers import (
     admit_sessions,
@@ -266,3 +270,251 @@ def test_admission_pump_feeds_the_cluster(world, baseline_fixes, tmp_path):
             bare.pump()
     finally:
         bare.shutdown()
+
+
+# ----------------------------------------------------------------------
+# Kill at every admission and removal
+# ----------------------------------------------------------------------
+
+
+class _Crash(BaseException):
+    """The worker process dies: escapes ``handle_line``'s error net."""
+
+
+def _membership_script(world):
+    """One shard's op sequence: admissions, removals, ticks, checkpoints.
+
+    With ``checkpoint_every=2`` the periodic checkpoints land at ticks 2
+    and 4, so the script covers: admissions before any checkpoint
+    exists (tick 0); admissions logged after a checkpoint at the same
+    tick (tick 2, after the periodic one, and again after an explicit
+    one); an admit, remove and re-admit of one id within one tick,
+    followed by another admission and then that explicit checkpoint
+    (a replay that re-applied the records the checkpoint folds would
+    re-register the id after the later one, reordering the sessions);
+    and a re-admission of an id removed at an earlier tick.
+    """
+    fingerprint_db, motion_db, config, workload = world
+    services = build_session_services(
+        workload, fingerprint_db, motion_db, config, resilient=True
+    )
+    ids = sorted(services)
+
+    def admit(index):
+        entry = fresh_session_entry(ids[index], services[ids[index]])
+        return {"op": "add_session", "entry": entry}
+
+    def remove(index):
+        return {"op": "remove_session", "session_id": ids[index]}
+
+    def tick(index):
+        return {
+            "op": "tick",
+            "tick": index,
+            "events": [
+                event_to_dict(event)
+                for event in events_of(workload.ticks[index - 1])
+            ],
+        }
+
+    n_ticks = len(workload.ticks)
+    return (
+        [admit(i) for i in range(5)]
+        + [tick(1), tick(2)]
+        + [admit(5), remove(5), admit(5), admit(6), {"op": "checkpoint"}]
+        + [remove(1), admit(7)]
+        + [tick(3), tick(4)]
+        + [remove(0), admit(1)]
+        + [tick(i) for i in range(5, n_ticks + 1)]
+    )
+
+
+def _run_script(shard, script, kill_at=None, how=None):
+    """Drive one shard through the script, killing it once.
+
+    ``how`` is where the kill lands around op ``kill_at``: ``"before"``
+    (the worker is dead when the op arrives), ``"logged"`` (it dies
+    right after the op's WAL record, before the engine acts and before
+    the reply) or ``"after"`` (right after the reply).  Every op goes
+    through :func:`supervised_request`, so a dead worker is respawned
+    and the op re-delivered.
+
+    Returns the tick outcomes and the final checkpoint text.
+    """
+    outcomes = []
+    respawned_at = None
+    if kill_at is not None:
+        respawned_at = kill_at + 1 if how == "after" else kill_at
+    for index, payload in enumerate(script):
+        if index == kill_at and how == "before":
+            shard.kill()
+        if index == kill_at and how == "logged":
+            appends = {
+                name: getattr(WriteAheadLog, name)
+                for name in ("append_admission", "append_removal")
+            }
+
+            def crash_after(original):
+                def append(self, *args):
+                    original(self, *args)
+                    raise _Crash()
+
+                return append
+
+            try:
+                for name, original in appends.items():
+                    setattr(WriteAheadLog, name, crash_after(original))
+                with pytest.raises(_Crash):
+                    shard.request(payload)
+            finally:
+                for name, original in appends.items():
+                    setattr(WriteAheadLog, name, original)
+            shard.kill()
+        reply, recovered = supervised_request(shard, payload)
+        assert recovered == (index == respawned_at)
+        if payload["op"] == "tick":
+            outcomes.append(reply["outcome"])
+        if index == kill_at and how == "after":
+            shard.kill()
+    if not shard.is_alive():
+        shard.respawn()
+    final = shard._worker.engine.checkpoint_json()
+    shard.shutdown()
+    return outcomes, final
+
+
+def _membership_shard(world, directory):
+    directory.mkdir()
+    return make_shards(world, directory, 1, checkpoint_every=2)[0]
+
+
+def test_kill_at_every_admission_and_removal_recovers_bitwise(
+    world, tmp_path
+):
+    """Kill before, inside (after the WAL record) and after every
+    ``add_session`` / ``remove_session``: the respawned worker finishes
+    the script with tick outcomes and end state bitwise equal to the
+    run without kills."""
+    script = _membership_script(world)
+    shard = _membership_shard(world, tmp_path / "reference")
+    assert shard.request({"op": "ping"})["recovered"] is False
+    reference = _run_script(shard, script)
+    membership = [
+        index
+        for index, payload in enumerate(script)
+        if payload["op"] in ("add_session", "remove_session")
+    ]
+    assert len(membership) == 13
+    for index in membership:
+        for how in ("before", "logged", "after"):
+            shard = _membership_shard(world, tmp_path / f"{index}-{how}")
+            killed = _run_script(shard, script, kill_at=index, how=how)
+            assert killed == reference, (index, how)
+
+
+def test_kill_after_every_tick_of_the_membership_script(world, tmp_path):
+    """The same script killed after each tick and each explicit
+    checkpoint: recovery crosses the logged admissions either way."""
+    script = _membership_script(world)
+    reference = _run_script(
+        _membership_shard(world, tmp_path / "reference"), script
+    )
+    for index, payload in enumerate(script):
+        if payload["op"] not in ("tick", "checkpoint"):
+            continue
+        shard = _membership_shard(world, tmp_path / f"{index}")
+        killed = _run_script(shard, script, kill_at=index, how="after")
+        assert killed == reference, index
+
+
+def test_torn_final_admission_is_dropped_and_redelivered(world, tmp_path):
+    """The worker died mid-append of an admission: the torn record was
+    never acknowledged, so recovery drops it and the re-delivered
+    admission is served as new."""
+    script = _membership_script(world)
+    reference = _run_script(
+        _membership_shard(world, tmp_path / "reference"), script
+    )
+    shard = _membership_shard(world, tmp_path / "torn")
+    wal_path = shard.spec["wal_path"]
+    torn_at = 3  # the fourth admission, before any checkpoint
+    for payload in script[:torn_at]:
+        shard.request(payload)
+    shard.kill()
+    line = json.dumps(
+        {"v": 2, "tick": 0, "admit": script[torn_at]["entry"]},
+        sort_keys=True,
+    )
+    with open(wal_path, "a", encoding="utf-8") as handle:
+        handle.write(line[: len(line) // 2])
+    shard.respawn()
+    ping = shard.request({"op": "ping"})
+    assert ping["recovered"] is True
+    assert len(ping["sessions"]) == torn_at
+    outcomes = []
+    for payload in script[torn_at:]:
+        reply = shard.request(payload)
+        if payload["op"] == "tick":
+            outcomes.append(reply["outcome"])
+    final = shard._worker.engine.checkpoint_json()
+    shard.shutdown()
+    assert (outcomes, final) == reference
+
+
+def test_duplicate_admission_in_a_different_state_is_refused(
+    world, tmp_path
+):
+    """Only an exact re-delivery is idempotent; a second session under
+    a hosted id is refused and leaves no WAL record."""
+    script = _membership_script(world)
+    shard = _membership_shard(world, tmp_path / "dup")
+    for payload in script[:7]:  # five admissions, two ticks
+        shard.request(payload)
+    wal_path = Path(shard.spec["wal_path"])
+    logged = wal_path.read_text(encoding="utf-8")
+    stale = script[0]  # s0's fresh entry; s0 has served two ticks since
+    with pytest.raises(ClusterWireError, match="different state"):
+        shard.request(stale)
+    assert wal_path.read_text(encoding="utf-8") == logged
+    shard.shutdown()
+
+
+def test_unknown_wal_version_is_refused_on_respawn(world, tmp_path):
+    script = _membership_script(world)
+    shard = _membership_shard(world, tmp_path / "future")
+    for payload in script[:3]:
+        shard.request(payload)
+    shard.kill()
+    with open(shard.spec["wal_path"], "a", encoding="utf-8") as handle:
+        handle.write('{"v": 3, "tick": 0, "remove": "x"}\n')
+    with pytest.raises(ValueError, match="unsupported WAL version 3"):
+        shard.respawn()
+
+
+def test_checkpoint_file_is_the_engines_canonical_encoding(world, tmp_path):
+    """The file holds ``json.dumps(engine.checkpoint(), sort_keys=True)``
+    byte for byte — here an epochal shard's, after three ticks."""
+    _, _, _, workload = world
+    shard = make_shards(world, tmp_path, 1, epochal=True)[0]
+    script = _membership_script(world)
+    for payload in script[:5]:
+        shard.request(payload)
+    for index in (1, 2, 3):
+        shard.request(
+            {
+                "op": "tick",
+                "tick": index,
+                "events": [
+                    event_to_dict(event)
+                    for event in events_of(workload.ticks[index - 1])
+                ],
+            }
+        )
+    path = shard.request({"op": "checkpoint"})["path"]
+    engine = shard._worker.engine
+    with open(path, "rb") as handle:
+        written = handle.read()
+    assert written == json.dumps(engine.checkpoint(), sort_keys=True).encode(
+        "utf-8"
+    )
+    shard.shutdown()

@@ -35,7 +35,11 @@ from repro.serving import (
     fix_stream_checksum,
     recover_engine,
 )
-from repro.serving.checkpoint import event_from_dict, event_to_dict
+from repro.serving.checkpoint import (
+    checkpoint_digest,
+    event_from_dict,
+    event_to_dict,
+)
 from repro.sim.evaluation import multi_session_workload
 
 N_SESSIONS = 64
@@ -221,7 +225,221 @@ class TestCheckpointValidation:
             )
 
 
+class TestCheckpointEncoding:
+    def test_checkpoint_json_is_the_canonical_encoding(self, baseline_run):
+        """One encoding serves both the size histogram and the file."""
+        engine = baseline_run[0]
+        before = engine.metrics_snapshot()["engine"]["histograms"]
+        text = engine.checkpoint_json()
+        assert text == json.dumps(engine.checkpoint(), sort_keys=True)
+        after = engine.metrics_snapshot()["engine"]["histograms"]
+        observed = after["checkpoint.bytes"]
+        assert observed["count"] == before["checkpoint.bytes"]["count"] + 2
+        # Both calls observed the byte length of that same text.
+        assert observed["sum"] - before["checkpoint.bytes"]["sum"] == 2 * len(
+            text.encode("utf-8")
+        )
+
+
+def _admission(make_service, session_id):
+    """A never-served session's checkpoint entry."""
+    return {
+        "session_id": session_id,
+        "service": make_service(session_id).state_dict(),
+        "intervals_served": 0,
+        "last_sequence": None,
+        "strikes": 0,
+        "quarantined_until": 0,
+        "last_fix": None,
+    }
+
+
+class TestMembershipRecovery:
+    """Admissions and removals replay from the WAL, in file order."""
+
+    def _logged_run(self, crash_world, wal_path):
+        """Admit, serve, checkpoint at a tick and keep admitting at it.
+
+        Returns the engine, the checkpoint texts with their marker
+        written (in order), and the served fixes per tick.
+        """
+        fingerprint_db, motion_db, config, workload = crash_world
+        make_service = _make_service_factory(fingerprint_db, motion_db, config)
+        ids = sorted(workload.sessions)[:6]
+        engine = BatchedServingEngine(fingerprint_db, motion_db, config)
+        texts = []
+        with WriteAheadLog(wal_path, fsync=False) as wal:
+
+            def admit(session_id):
+                record = engine.build_session(
+                    _admission(make_service, session_id), make_service
+                )
+                wal.append_admission(
+                    engine.tick_index, _admission(make_service, session_id)
+                )
+                engine.admit(record)
+
+            def remove(session_id):
+                wal.append_removal(engine.tick_index, session_id)
+                engine.remove_session(session_id)
+
+            def checkpoint():
+                text = engine.checkpoint_json()
+                wal.append_checkpoint(
+                    engine.tick_index, checkpoint_digest(text)
+                )
+                texts.append(text)
+
+            def tick(index):
+                events = [
+                    event
+                    for event in _events_of(workload.ticks[index])
+                    if event.session_id in engine.sessions
+                ]
+                wal.append(engine.tick_index + 1, events)
+                engine.tick(events)
+
+            for session_id in ids[:4]:
+                admit(session_id)
+            tick(0)
+            checkpoint()  # tick 1, before the admissions at tick 1
+            admit(ids[4])
+            remove(ids[4])
+            admit(ids[4])
+            admit(ids[5])
+            checkpoint()  # tick 1 again, folding those four records
+            remove(ids[0])
+            tick(1)
+        return engine, texts
+
+    def test_whole_log_replays_without_a_checkpoint(
+        self, crash_world, tmp_path
+    ):
+        fingerprint_db, motion_db, config, _ = crash_world
+        wal_path = tmp_path / "membership.wal"
+        engine, _ = self._logged_run(crash_world, wal_path)
+        fresh = BatchedServingEngine(fingerprint_db, motion_db, config)
+        with WriteAheadLog(wal_path, fsync=False) as wal:
+            replayed = recover_engine(
+                fresh,
+                None,
+                wal,
+                _make_service_factory(fingerprint_db, motion_db, config),
+            )
+        assert replayed == 2
+        assert fresh.checkpoint_json() == engine.checkpoint_json()
+
+    def test_each_checkpoint_replays_exactly_the_records_after_it(
+        self, crash_world, tmp_path
+    ):
+        """Two checkpoints at one tick, admissions between them: each
+        recovers to the same end state, sessions in the same order."""
+        fingerprint_db, motion_db, config, _ = crash_world
+        wal_path = tmp_path / "membership.wal"
+        engine, texts = self._logged_run(crash_world, wal_path)
+        first, second = texts
+        assert json.loads(first)["tick_index"] == 1
+        assert json.loads(second)["tick_index"] == 1
+        for text in texts:
+            fresh = BatchedServingEngine(fingerprint_db, motion_db, config)
+            with WriteAheadLog(wal_path, fsync=False) as wal:
+                recover_engine(
+                    fresh,
+                    text,
+                    wal,
+                    _make_service_factory(fingerprint_db, motion_db, config),
+                )
+            assert fresh.checkpoint_json() == engine.checkpoint_json()
+
+    def test_a_marker_without_its_checkpoint_is_ignored(
+        self, crash_world, tmp_path
+    ):
+        """Died between a marker and its checkpoint write: the older
+        checkpoint on disk still finds its own marker."""
+        fingerprint_db, motion_db, config, _ = crash_world
+        wal_path = tmp_path / "membership.wal"
+        engine, texts = self._logged_run(crash_world, wal_path)
+        with WriteAheadLog(wal_path, fsync=False) as wal:
+            wal.append_checkpoint(engine.tick_index, "0" * 32)
+        fresh = BatchedServingEngine(fingerprint_db, motion_db, config)
+        with WriteAheadLog(wal_path, fsync=False) as wal:
+            recover_engine(
+                fresh,
+                texts[0],
+                wal,
+                _make_service_factory(fingerprint_db, motion_db, config),
+            )
+        assert fresh.checkpoint_json() == engine.checkpoint_json()
+
+
 class TestWriteAheadLog:
+    def test_membership_records_round_trip_in_file_order(self, tmp_path):
+        path = tmp_path / "members.wal"
+        entry = {"session_id": "alice", "service": {"k": [1.5, None]}}
+        with WriteAheadLog(path, fsync=False) as wal:
+            wal.append_admission(0, entry)
+            wal.append(1, [IntervalEvent("alice", [1.5])])
+            wal.append_checkpoint(1, "ab" * 16)
+            wal.append_removal(1, "alice")
+        with WriteAheadLog(path, fsync=False) as wal:
+            records = list(wal.records())
+            tail = [(k, t) for k, t, _ in wal.records_after(1, "ab" * 16)]
+            unmarked = [(k, t) for k, t, _ in wal.records_after(0)]
+        assert [(kind, tick) for kind, tick, _ in records] == [
+            ("admit", 0),
+            ("tick", 1),
+            ("checkpoint", 1),
+            ("remove", 1),
+        ]
+        assert records[0][2] == entry
+        assert records[2][2] == "ab" * 16
+        assert records[3][2] == "alice"
+        # After its marker: exactly the records the checkpoint lacks.
+        assert tail == [("remove", 1)]
+        # No marker named: the checkpoint folds everything up to its
+        # tick, and markers are never yielded.
+        assert unmarked == [("tick", 1), ("remove", 1)]
+
+    def test_torn_final_admission_is_dropped(self, tmp_path):
+        path = tmp_path / "torn-admit.wal"
+        with WriteAheadLog(path, fsync=False) as wal:
+            wal.append_admission(0, {"session_id": "alice"})
+        line = json.dumps(
+            {"v": 2, "tick": 0, "admit": {"session_id": "bob"}},
+            sort_keys=True,
+        )
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(line[:-7])
+        with WriteAheadLog(path, fsync=False) as wal:
+            wal.append_admission(0, {"session_id": "carol"})
+            admitted = [
+                payload["session_id"] for _, _, payload in wal.records()
+            ]
+        assert admitted == ["alice", "carol"]
+
+    def test_version_one_lines_still_read(self, tmp_path):
+        path = tmp_path / "v1.wal"
+        path.write_text(
+            '{"events": [], "tick": 1, "v": 1}\n'
+            '{"epoch": {"checksum": "c", "target": 1, "updates": []}, '
+            '"tick": 1, "v": 1}\n'
+        )
+        with WriteAheadLog(path, fsync=False) as wal:
+            wal.append(2, [])
+            kinds = [(kind, tick) for kind, tick, _ in wal.records()]
+        assert kinds == [("tick", 1), ("epoch", 1), ("tick", 2)]
+        assert json.loads(path.read_text().splitlines()[-1])["v"] == 2
+
+    def test_unknown_version_admission_is_refused(self, tmp_path):
+        path = tmp_path / "future-admit.wal"
+        with WriteAheadLog(path, fsync=False) as wal:
+            wal.append_admission(0, {"session_id": "alice"})
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"v": 3, "tick": 0, "admit": {"session_id": "x"}}\n')
+        with WriteAheadLog(path, fsync=False) as wal:
+            with pytest.raises(ValueError, match="unsupported WAL version 3"):
+                list(wal.records_after(0))
+
     def test_torn_final_line_is_tolerated(self, tmp_path):
         path = tmp_path / "torn.wal"
         with WriteAheadLog(path, fsync=False) as wal:
