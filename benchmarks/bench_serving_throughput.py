@@ -59,9 +59,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.tables import format_table
-from repro.motion.pedestrian import BodyProfile
 from repro.observability import MetricsRegistry
-from repro.robustness.service import ResilientMoLocService
 from repro.serving import (
     AdmissionController,
     BatchedServingEngine,
@@ -228,11 +226,9 @@ def test_serving_throughput(benchmark, study, report, metrics_out):
     def serve_elapsed(instrumented: bool) -> float:
         if instrumented:
             engine = BatchedServingEngine(fdb, mdb, study.config)
-            services = build_session_services(
-                timed_workload, fdb, mdb, study.config,
-                resilient=True, plan=plan,
-            )
         else:
+            # The engine's disabled registry switches its sessions'
+            # counters off too.
             off = MetricsRegistry(enabled=False)
             engine = BatchedServingEngine(
                 fdb,
@@ -242,21 +238,10 @@ def test_serving_throughput(benchmark, study, report, metrics_out):
                 transitions=TransitionEvaluator(mdb, study.config, metrics=off),
                 metrics=off,
             )
-            services = build_session_services(
-                timed_workload,
-                fdb,
-                mdb,
-                study.config,
-                plan=plan,
-                make_service=lambda trace: ResilientMoLocService(
-                    fdb,
-                    mdb,
-                    body=BodyProfile(height_m=1.72),
-                    config=study.config,
-                    plan=plan,
-                    metrics=MetricsRegistry(enabled=False),
-                ),
-            )
+        services = build_session_services(
+            timed_workload, fdb, mdb, study.config,
+            resilient=True, plan=plan,
+        )
         gc.collect()
         gc.disable()
         try:

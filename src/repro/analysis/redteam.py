@@ -25,11 +25,11 @@ see ``limitations`` in the emitted document.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.baselines import WiFiFingerprintingLocalizer
 from ..motion.pedestrian import BodyProfile
+from ..observability import MetricsRegistry
 from ..robustness import ApTrustMonitor, FaultType, ResilientMoLocService
 from ..service import MoLocService
 from ..sim.adversary import (
@@ -50,30 +50,6 @@ __all__ = ["run_redteam", "GATE_RATIO"]
 #: The bench gate: defended mean error under the single-rogue-AP attack
 #: must stay within this multiple of the clean defended baseline.
 GATE_RATIO = 1.5
-
-#: Counters the resilient service exposes for trust-layer activity.
-_TRUST_COUNTERS = (
-    "service.trust.masked_intervals",
-    "service.trust.scan_demotions",
-    "service.trust.repairs",
-    "service.trust.quarantines",
-    "service.trust.paroles",
-)
-
-
-class _Recorder:
-    """Service wrapper tallying health faults and retaining the service."""
-
-    def __init__(self, service, faults: Counter, services: list) -> None:
-        self._service = service
-        self._faults = faults
-        services.append(service)
-
-    def on_interval(self, scan, imu=None):
-        fix = self._service.on_interval(scan, imu)
-        self._faults.update(fix.health.faults)
-        return fix
-
 
 def _session_factory(
     study, cls, trust_factory=None, **kwargs
@@ -297,19 +273,21 @@ def run_redteam(
     for label, attack, degraded in _conditions(traces, smoke):
         plain = evaluate_service(make_plain, degraded, plan)
         resilient = evaluate_service(make_resilient, degraded, plan)
-        faults: Counter = Counter()
-        services: list = []
+        # Every defended session counts into one registry.
+        registry = MetricsRegistry()
         make_defended = make_defended_factory()
-        defended = evaluate_service(
-            lambda trace: _Recorder(make_defended(trace), faults, services),
-            degraded,
-            plan,
-        )
+
+        def make_counted(trace):
+            service = make_defended(trace)
+            service.bind_metrics(registry)
+            return service
+
+        defended = evaluate_service(make_counted, degraded, plan)
+        counters = registry.snapshot()["counters"]
         trust_events = {
-            name.rsplit(".", 1)[1]: sum(
-                s.metrics.counter(name).value for s in services
-            )
-            for name in _TRUST_COUNTERS
+            name.rsplit(".", 1)[1]: value
+            for name, value in counters.items()
+            if name.startswith("service.trust.")
         }
         if label == "clean":
             clean_defended_mean = defended.mean_error_m
@@ -320,8 +298,8 @@ def run_redteam(
                 "resilient": _system_cell(resilient, twin_ids),
                 "defended": _system_cell(defended, twin_ids),
             },
-            "defended_rogue_masked_intervals": faults[
-                FaultType.ROGUE_AP_MASKED
+            "defended_rogue_masked_intervals": counters[
+                f"service.faults.{FaultType.ROGUE_AP_MASKED.value}"
             ],
             "trust_events": trust_events,
             "defended_over_clean_ratio": (

@@ -56,6 +56,7 @@ from ..serving.engine import (
 )
 from .core import (
     ShardTicker,
+    fleet_snapshot,
     flip_cluster_epoch,
     partition_events,
     supervised_request,
@@ -113,7 +114,8 @@ class ClusterCoordinator:
         admission: Optional front-door queue for :meth:`pump`.
         metrics: Registry for the coordinator's own counters (a fresh
             one when omitted).  Shard engines keep their own registries;
-            :meth:`metrics_snapshot` merges them.
+            :meth:`metrics_snapshot` merges them, keeping the final
+            snapshot of every shard a reshard retires.
 
     Raises:
         ValueError: for zero shards or duplicate shard ids.
@@ -138,6 +140,7 @@ class ClusterCoordinator:
         self.admission = admission
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._tick_index = 0
+        self._retired_snapshots: List[Dict[str, object]] = []
         self._c_ticks = self.metrics.counter("cluster.ticks")
         self._c_events = self.metrics.counter("cluster.events")
         self._c_recoveries = self.metrics.counter("cluster.recoveries")
@@ -459,6 +462,12 @@ class ClusterCoordinator:
             for shard_id in self.router.shard_ids
             if shard_id not in new_by_id
         }
+        # Drained, a retired shard's counts are final; the merged
+        # snapshot keeps them so no counter goes backwards.
+        self._retired_snapshots.extend(
+            self._request(shard_id, {"op": "metrics"})[0]["metrics"]
+            for shard_id in retired
+        )
 
         self._shards = dict(new_by_id)
         # Fresh tickers, pinned to the shared cluster tick: surviving
@@ -487,31 +496,20 @@ class ClusterCoordinator:
         """The whole cluster's metrics as one JSON document.
 
         Returns:
-            ``{"schema": 2, "coordinator": ..., "shards": {id: ...},
-            "merged": ...}`` where each shard contributes its engine's
-            full ``metrics_snapshot`` and ``merged`` aggregates the
-            shards section by section via
-            :meth:`~repro.observability.MetricsRegistry.aggregate` —
-            the same document shape a single engine produces, summed
-            across the fleet.
+            ``{"schema": 3, "coordinator": ..., "shards": {id: ...},
+            "merged": ...}``: every live shard engine's snapshot, and
+            ``merged`` summing them and retired shards into one engine
+            document (see :func:`~repro.cluster.core.fleet_snapshot`).
         """
-        shard_snapshots: Dict[str, Dict[str, object]] = {}
-        for shard_id in self.router.shard_ids:
-            reply, _ = self._request(shard_id, {"op": "metrics"})
-            shard_snapshots[shard_id] = reply["metrics"]
-        merged = {
-            section: MetricsRegistry.aggregate(
-                snapshot[section] for snapshot in shard_snapshots.values()
-            )
-            for section in ("engine", "matcher", "transitions", "sessions")
+        shard_snapshots = {
+            shard_id: self._request(shard_id, {"op": "metrics"})[0]["metrics"]
+            for shard_id in self.router.shard_ids
         }
-        merged["schema"] = 2
-        return {
-            "schema": 2,
-            "coordinator": self.metrics.snapshot(),
-            "shards": shard_snapshots,
-            "merged": merged,
-        }
+        return fleet_snapshot(
+            {"coordinator": self.metrics.snapshot()},
+            shard_snapshots,
+            self._retired_snapshots,
+        )
 
     def shutdown(self) -> None:
         """Cleanly stop every shard."""

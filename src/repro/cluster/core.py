@@ -14,6 +14,7 @@ drift apart on the parts that make recovery bitwise-invisible:
   fresh work), supports split-phase ``send``/``collect`` so a driver
   can dispatch several shards before awaiting any reply, and routes
   both halves through the supervised path.
+* :func:`fleet_snapshot` — the metrics document both drivers serve.
 
 The two drivers differ only in *when* they tick:
 
@@ -35,10 +36,11 @@ bitwise-equality gate (``python -m repro gate async-lockstep``,
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..observability import MetricsRegistry
 from ..serving.checkpoint import event_to_dict
-from ..serving.engine import IntervalEvent, TickOutcome
+from ..serving.engine import METRICS_SCHEMA_VERSION, IntervalEvent, TickOutcome
 from .messages import outcome_from_dict
 from .transport import ShardDown
 
@@ -47,7 +49,35 @@ __all__ = [
     "ShardTicker",
     "partition_events",
     "flip_cluster_epoch",
+    "fleet_snapshot",
 ]
+
+
+def fleet_snapshot(
+    front: Dict[str, object],
+    shards: Dict[str, Dict[str, object]],
+    retired: Iterable[Dict[str, object]] = (),
+) -> Dict[str, object]:
+    """``{"schema": 3, **front, "shards": shards, "merged": ...}``.
+
+    ``merged`` aggregates the engine sections of ``shards`` (live
+    shards' snapshots, by id) and ``retired`` (final snapshots of
+    shards resharded away, so no merged counter drops).
+    """
+    snapshots = [*shards.values(), *retired]
+    merged: Dict[str, object] = {
+        section: MetricsRegistry.aggregate(
+            snapshot[section] for snapshot in snapshots
+        )
+        for section in ("engine", "matcher", "transitions", "sessions")
+    }
+    merged["schema"] = METRICS_SCHEMA_VERSION
+    return {
+        "schema": METRICS_SCHEMA_VERSION,
+        **front,
+        "shards": shards,
+        "merged": merged,
+    }
 
 
 def supervised_request(

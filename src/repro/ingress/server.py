@@ -48,7 +48,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..cluster.core import ShardTicker, flip_cluster_epoch
+from ..cluster.core import ShardTicker, fleet_snapshot, flip_cluster_epoch
 from ..cluster.messages import (
     ClusterWireError,
     decode_message,
@@ -497,28 +497,14 @@ class IngressServer:
     # Observability
     # ------------------------------------------------------------------
 
-    def metrics_snapshot(self) -> Dict[str, object]:
-        """Ingress counters plus every shard worker's own snapshot.
-
-        Talks to the shard transports directly, so it is only safe when
-        no shard loop is running (before :meth:`start`, after
-        :meth:`stop`).  While the server is live, use
-        :meth:`metrics_snapshot_async` — it serializes transport access
-        through each shard's executor so a snapshot can never interleave
-        with that shard's in-flight tick.
-        """
-        shard_snapshots: Dict[str, object] = {}
-        for shard_id in self.router.shard_ids:
-            reply, recovered = self._tickers[shard_id].request(
-                {"op": "metrics"}
-            )
-            if recovered:
-                self._c_recoveries.inc()
-            shard_snapshots[shard_id] = reply["metrics"]
-        return self._snapshot_document(shard_snapshots)
-
     async def metrics_snapshot_async(self) -> Dict[str, object]:
-        """:meth:`metrics_snapshot`, safe while the shard loops run."""
+        """Ingress and admission counters, every shard's own snapshot.
+
+        The coordinator's document shape
+        (:func:`~repro.cluster.core.fleet_snapshot`), so ``merged`` sums
+        the shards.  Each shard is asked through its executor, so a
+        snapshot never interleaves with that shard's in-flight tick.
+        """
         loop = asyncio.get_event_loop()
         shard_snapshots: Dict[str, object] = {}
         for shard_id in self.router.shard_ids:
@@ -530,20 +516,14 @@ class IngressServer:
             if recovered:
                 self._c_recoveries.inc()
             shard_snapshots[shard_id] = reply["metrics"]
-        return self._snapshot_document(shard_snapshots)
-
-    def _snapshot_document(
-        self, shard_snapshots: Dict[str, object]
-    ) -> Dict[str, object]:
-        return {
-            "schema": 1,
-            "ingress": self.metrics.snapshot(),
-            "admission": {
-                shard_id: self._admission[shard_id].metrics.snapshot()
-                for shard_id in self.router.shard_ids
-            },
-            "shards": shard_snapshots,
+        admission = {
+            shard_id: self._admission[shard_id].metrics.snapshot()
+            for shard_id in self.router.shard_ids
         }
+        return fleet_snapshot(
+            {"ingress": self.metrics.snapshot(), "admission": admission},
+            shard_snapshots,
+        )
 
     def latency_quantiles(
         self, quantiles: Sequence[float] = (0.5, 0.99)

@@ -5,9 +5,9 @@ counter is one attribute add, observing a histogram value is one bisect
 plus two adds.  Everything is designed around three rules:
 
 * **Instruments are get-or-create.**  ``registry.counter("x")`` returns
-  the same object every call, so components can resolve their
-  instruments once at construction and pay only the increment at
-  serving time.
+  the same object every call (one dict probe once created), so
+  components can resolve their instruments once and pay only the
+  increment at serving time.
 * **Snapshots are plain JSON.**  :meth:`MetricsRegistry.snapshot`
   returns nested dicts of numbers — serializable with ``json.dumps``
   as-is, diffable, and stable in key order.
@@ -310,18 +310,18 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         """The counter under ``name``, created on first use."""
-        self._check_name(name, self._counters)
         instrument = self._counters.get(name)
         if instrument is None:
+            self._check_name(name, self._counters)
             instrument = Counter(name) if self.enabled else _NullCounter(name)
             self._counters[name] = instrument
         return instrument
 
     def gauge(self, name: str) -> Gauge:
         """The gauge under ``name``, created on first use."""
-        self._check_name(name, self._gauges)
         instrument = self._gauges.get(name)
         if instrument is None:
+            self._check_name(name, self._gauges)
             instrument = Gauge(name) if self.enabled else _NullGauge(name)
             self._gauges[name] = instrument
         return instrument
@@ -335,9 +335,9 @@ class MetricsRegistry:
             ValueError: if the name exists with different boundaries (a
                 histogram's buckets are fixed at creation).
         """
-        self._check_name(name, self._histograms)
         instrument = self._histograms.get(name)
         if instrument is None:
+            self._check_name(name, self._histograms)
             instrument = (
                 Histogram(name, boundaries)
                 if self.enabled
@@ -404,7 +404,7 @@ class MetricsRegistry:
 
         Counters and histogram buckets sum; gauges keep the maximum
         (the aggregate answers "how bad does it get anywhere", e.g. the
-        longest live coasting streak across sessions).  Histograms must
+        longest live coasting streak across shards).  Histograms must
         agree on boundaries.  Disjoint key sets merge by union: a
         counter or histogram present in only some snapshots contributes
         its values unchanged — cross-shard merges rely on this, since

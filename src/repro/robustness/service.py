@@ -55,6 +55,15 @@ from .watchdog import DivergenceWatchdog, WatchdogAction
 
 __all__ = ["ResilientMoLocService", "ResilientPreparedInterval"]
 
+# Counter names per serving mode and fault, formatted once: binding a
+# session to a registry is then one dict probe per counter.
+_MODE_COUNTER_NAMES = tuple(
+    (mode, f"service.fixes_by_mode.{mode.value}") for mode in ServingMode
+)
+_FAULT_COUNTER_NAMES = tuple(
+    (fault, f"service.faults.{fault.value}") for fault in FaultType
+)
+
 
 @dataclass
 class ResilientPreparedInterval(PreparedInterval):
@@ -113,10 +122,9 @@ class ResilientMoLocService(MoLocService):
             observed-vs-expected residuals back to the monitor.  Off
             (None) by default: with no monitor the serving path is
             bit-for-bit the pre-trust one.
-        metrics: As in :class:`~repro.service.MoLocService`; this
-            subclass additionally counts fixes by serving mode, faults
-            by type, sanitizer masks, watchdog trips, recalibrations,
-            and the current dead-reckoning streak.
+
+    This subclass also counts fixes by mode, faults by type, sanitizer
+    masks, watchdog trips, recalibrations and trust events.
     """
 
     def __init__(
@@ -132,7 +140,6 @@ class ResilientMoLocService(MoLocService):
         watchdog: Optional[DivergenceWatchdog] = None,
         calibration_monitor: Optional[CalibrationMonitor] = None,
         trust: Optional[ApTrustMonitor] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         super().__init__(
             fingerprint_db,
@@ -141,7 +148,6 @@ class ResilientMoLocService(MoLocService):
             config=config,
             use_gyro_fusion=use_gyro_fusion,
             personalize_stride=personalize_stride,
-            metrics=metrics,
         )
         self._config = config
         self._sanitizer = sanitizer or ScanSanitizer(fingerprint_db.n_aps)
@@ -154,36 +160,26 @@ class ResilientMoLocService(MoLocService):
         self._last_health: Optional[HealthStatus] = None
         self._previous_wifi_best: Optional[int] = None
         self._coasting_streak = 0
-        self._c_masks = self.metrics.counter("service.sanitizer_masks")
-        self._c_trust_masked = self.metrics.counter(
-            "service.trust.masked_intervals"
-        )
-        self._c_trust_demotions = self.metrics.counter(
-            "service.trust.scan_demotions"
-        )
-        self._c_trust_repairs = self.metrics.counter("service.trust.repairs")
-        self._c_trust_quarantines = self.metrics.counter(
-            "service.trust.quarantines"
-        )
-        self._c_trust_paroles = self.metrics.counter("service.trust.paroles")
-        self._g_trust_quarantined = self.metrics.gauge(
-            "service.trust.quarantined_aps"
-        )
-        self._c_widen = self.metrics.counter("service.watchdog.widen_trips")
-        self._c_reset = self.metrics.counter("service.watchdog.reset_trips")
-        self._c_recalibrations = self.metrics.counter(
-            "service.recalibrations"
-        )
-        self._g_coasting = self.metrics.gauge("service.coasting_streak")
+
+    def bind_metrics(self, registry: MetricsRegistry) -> None:
+        super().bind_metrics(registry)
+        counter = registry.counter
+        self._c_masks = counter("service.sanitizer_masks")
+        self._c_trust_masked = counter("service.trust.masked_intervals")
+        self._c_trust_demotions = counter("service.trust.scan_demotions")
+        self._c_trust_repairs = counter("service.trust.repairs")
+        self._c_trust_quarantines = counter("service.trust.quarantines")
+        self._c_trust_paroles = counter("service.trust.paroles")
+        self._c_widen = counter("service.watchdog.widen_trips")
+        self._c_reset = counter("service.watchdog.reset_trips")
+        self._c_recalibrations = counter("service.recalibrations")
         # Pre-resolved so the per-fix path is a dict lookup, not a
         # name-format + registry probe.
         self._mode_counters = {
-            mode: self.metrics.counter(f"service.fixes_by_mode.{mode.value}")
-            for mode in ServingMode
+            mode: counter(name) for mode, name in _MODE_COUNTER_NAMES
         }
         self._fault_counters = {
-            fault: self.metrics.counter(f"service.faults.{fault.value}")
-            for fault in FaultType
+            fault: counter(name) for fault, name in _FAULT_COUNTER_NAMES
         }
 
     @property
@@ -195,6 +191,11 @@ class ResilientMoLocService(MoLocService):
     def trust(self) -> Optional[ApTrustMonitor]:
         """The AP trust monitor, when the adversarial defense is on."""
         return self._trust
+
+    @property
+    def coasting_streak(self) -> int:
+        """Consecutive dead-reckoning fixes up to the latest one."""
+        return self._coasting_streak
 
     def calibrate_heading(self, calibration) -> float:
         offset = super().calibrate_heading(calibration)
@@ -209,12 +210,10 @@ class ResilientMoLocService(MoLocService):
         self._calibration_monitor.reset()
         if self._trust is not None:
             self._trust.reset()
-            self._g_trust_quarantined.set(0)
         self._widen_next = False
         self._last_health = None
         self._previous_wifi_best = None
         self._coasting_streak = 0
-        self._g_coasting.set(0)
 
     def state_dict(self) -> dict:
         """Session state including the robustness layer's rolling state.
@@ -261,11 +260,7 @@ class ResilientMoLocService(MoLocService):
                 # A pre-trust checkpoint restored into a defended
                 # session: start the monitor from scratch.
                 self._trust.reset()
-            self._g_trust_quarantined.set(
-                len(self._trust.quarantined_ap_ids)
-            )
         self._last_health = None
-        self._g_coasting.set(self._coasting_streak)
 
     def on_interval(
         self,
@@ -534,7 +529,6 @@ class ResilientMoLocService(MoLocService):
             self._coasting_streak += 1
         else:
             self._coasting_streak = 0
-        self._g_coasting.set(self._coasting_streak)
 
         # Stride personalization, as in the base service, but only when a
         # real scan anchored the fix.
@@ -618,9 +612,6 @@ class ResilientMoLocService(MoLocService):
             )
             self._c_trust_quarantines.inc(len(transition.newly_quarantined))
             self._c_trust_paroles.inc(len(transition.newly_paroled))
-            self._g_trust_quarantined.set(
-                len(self._trust.quarantined_ap_ids)
-            )
 
         health = HealthStatus(
             mode=mode,

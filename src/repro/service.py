@@ -120,9 +120,9 @@ class MoLocService:
         personalize_stride: Whether to refine the user's step length
             online from confident consecutive fixes whose hop distance
             the motion database knows.
-        metrics: Registry receiving the session's metrics (a fresh one
-            when omitted).  The serving engine aggregates these
-            per-session registries in its ``metrics_snapshot``.
+
+    Metrics count into ``metrics``: a fresh registry until
+    :meth:`bind_metrics` (the serving engine's admission) binds another.
     """
 
     def __init__(
@@ -133,7 +133,6 @@ class MoLocService:
         config: MoLocConfig = MoLocConfig(),
         use_gyro_fusion: bool = True,
         personalize_stride: bool = False,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self._localizer = MoLocLocalizer(fingerprint_db, motion_db, config)
         self._motion_db = motion_db
@@ -151,12 +150,14 @@ class MoLocService:
         self._fix_count = 0
         self._previous_fix: Optional[int] = None
         self._last_steps: Optional[float] = None
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._c_fixes = self.metrics.counter("service.fixes")
-        self._c_motion_fixes = self.metrics.counter("service.motion_fixes")
-        self._c_stride_accepts = self.metrics.counter(
-            "service.stride_accepts"
-        )
+        self.bind_metrics(MetricsRegistry())
+
+    def bind_metrics(self, registry: MetricsRegistry) -> None:
+        """Count into ``registry`` from now on; past counts stay put."""
+        self.metrics = registry
+        self._c_fixes = registry.counter("service.fixes")
+        self._c_motion_fixes = registry.counter("service.motion_fixes")
+        self._c_stride_accepts = registry.counter("service.stride_accepts")
 
     @property
     def fingerprint_db(self) -> FingerprintDatabase:

@@ -48,8 +48,8 @@ write-ahead log that makes recovery kill-anywhere exact).
 The engine is instrumented end to end through
 :mod:`repro.observability`: tick latency and batch-size histograms,
 per-phase span timing, cache and memo hit/miss counters, quarantine
-and shed counters, and an aggregated per-session view — all surfaced
-by :meth:`BatchedServingEngine.metrics_snapshot` as one
+and shed counters, and one registry all sessions count into — all
+surfaced by :meth:`BatchedServingEngine.metrics_snapshot` as one
 JSON-serializable document (see ``docs/observability.md`` for the
 schema).
 """
@@ -91,6 +91,7 @@ __all__ = [
     "BatchedServingEngine",
     "CHECKPOINT_FORMAT_VERSION",
     "EPOCHAL_CHECKPOINT_FORMAT_VERSION",
+    "METRICS_SCHEMA_VERSION",
 ]
 
 _PHASES = ("prepare", "match", "transitions", "complete")
@@ -105,6 +106,10 @@ EPOCHAL_CHECKPOINT_FORMAT_VERSION = 2
 (id, checksum, contents), written only by engines serving an
 :class:`~repro.db.epochs.EpochalDatabase`.  A version-1 checkpoint
 restores into an epochal engine with an implicit epoch-0 pin."""
+
+METRICS_SCHEMA_VERSION = 3
+"""Stamp of engine and cluster metrics documents; 3 made ``sessions``
+one registry whose counters never go backwards."""
 
 # Exceptions that must never be swallowed by per-session isolation:
 # they signal process-level failure (exhausted memory, a blown stack),
@@ -221,8 +226,9 @@ class BatchedServingEngine:
         estimate_cache_size: Entries in the posterior (Eq. 7) LRU.
         metrics: Registry for the engine's own metrics (a fresh one
             when omitted).  Default-constructed matchers and transition
-            evaluators get their own registries; all of them surface
-            through :meth:`metrics_snapshot`.
+            evaluators get their own registries, sessions count into
+            :attr:`session_metrics` (enabled when ``metrics`` is); all
+            of them surface through :meth:`metrics_snapshot`.
         quarantine: Fault-isolation policy (strikes, backoff, eviction);
             defaults to :class:`~repro.serving.session.QuarantinePolicy`.
         tick_budget_s: Optional per-tick wall-clock budget.  Once a
@@ -282,6 +288,7 @@ class BatchedServingEngine:
         self._config = config
         self.sessions = SessionManager()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.session_metrics = MetricsRegistry(enabled=self.metrics.enabled)
         self.matcher = matcher or BatchMatcher(self._fingerprint_db)
         # Matchers are epoch-keyed: each epoch's content-addressed
         # candidate cache is isolated behind its own matcher, so a flip
@@ -532,24 +539,39 @@ class BatchedServingEngine:
         """Everything the serving stack measures, as one JSON document.
 
         Returns:
-            ``{"schema": 2, "engine": ..., "matcher": ...,
-            "transitions": ..., "sessions": ...}`` where the first three
-            sections are each component's registry snapshot and
-            ``sessions`` aggregates the per-session service registries
-            (counters and histograms sum, gauges keep the maximum).
-            Sessions removed from the engine leave the aggregate.
-            Schema 2 adds the trust-layer counters/gauges —
-            ``engine.trust.masked_sessions`` plus the per-session
-            ``service.trust.*`` family in the aggregate.
+            ``{"schema": 3, "engine": ..., "matcher": ...,
+            "transitions": ..., "sessions": ...}``, one registry's
+            snapshot each.  ``sessions`` is :attr:`session_metrics`:
+            removed sessions' counts stay, and its two gauges are the
+            maximum over live resilient sessions of their coasting
+            streak and quarantined AP count (None without trust).
         """
+        sessions = self.session_metrics.snapshot()
+        resilient = [
+            record.service
+            for record in self.sessions
+            if isinstance(record.service, ResilientMoLocService)
+        ]
+        if resilient and self.session_metrics.enabled:
+            sessions["gauges"] = {
+                "service.coasting_streak": max(
+                    service.coasting_streak for service in resilient
+                ),
+                "service.trust.quarantined_aps": max(
+                    (
+                        len(service.trust.quarantined_ap_ids)
+                        for service in resilient
+                        if service.trust is not None
+                    ),
+                    default=None,
+                ),
+            }
         return {
-            "schema": 2,
+            "schema": METRICS_SCHEMA_VERSION,
             "engine": self.metrics.snapshot(),
             "matcher": self.matcher.metrics.snapshot(),
             "transitions": self.transitions.metrics.snapshot(),
-            "sessions": MetricsRegistry.aggregate(
-                record.service.metrics.snapshot() for record in self.sessions
-            ),
+            "sessions": sessions,
         }
 
     # ------------------------------------------------------------------
@@ -590,10 +612,14 @@ class BatchedServingEngine:
     def admit(self, record: SessionRecord) -> SessionRecord:
         """Register a built session record (see :meth:`build_session`).
 
+        Every admission path ends here and binds the session's metrics
+        to :attr:`session_metrics`.
+
         Raises:
             ValueError: as :meth:`add_session`.
         """
         self._check_admissible(record.session_id, record.service)
+        record.service.bind_metrics(self.session_metrics)
         self.sessions.insert(record)
         self._g_sessions.set(len(self.sessions))
         return record

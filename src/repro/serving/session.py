@@ -128,18 +128,12 @@ class SessionManager:
         """Live session ids, in registration order."""
         return list(self._sessions)
 
-    def add(self, session_id: str, service: MoLocService) -> SessionRecord:
-        """Register a session.
-
-        Raises:
-            ValueError: if the id is already registered.
-        """
-        return self.insert(
-            SessionRecord(session_id=session_id, service=service)
-        )
-
     def insert(self, record: SessionRecord) -> SessionRecord:
         """Register a built record (restored state included).
+
+        Engines admit through
+        :meth:`~repro.serving.engine.BatchedServingEngine.admit`, which
+        checks the record and binds its metrics before inserting it.
 
         Raises:
             ValueError: if its id is already registered.

@@ -113,6 +113,74 @@ def test_shrinking_midrun_drains_and_retires_the_shard(
     assert checksums(fixes) == checksums(baseline_fixes)
 
 
+def test_merged_counters_never_go_backwards(world, tmp_path):
+    """No merged counter drops when a session leaves or the fleet resizes.
+
+    Each shard engine counts its sessions into one registry that keeps
+    a removed session's counts, and the coordinator keeps the final
+    snapshot of every shard a reshard retires, so ``merged`` can be
+    read as rates across growth, removal and shrinkage.
+    """
+    fingerprint_db, motion_db, config, workload = world
+    coordinator = make_cluster(world, tmp_path, 2)
+    fixes = {sid: [] for sid in workload.sessions}
+    third = len(workload.ticks) // 3
+    merged = []
+
+    def snapshot():
+        merged.append(coordinator.metrics_snapshot()["merged"])
+
+    _serve(coordinator, fixes, workload.ticks[:third])
+    snapshot()
+    grown = coordinator.reshard(
+        list(coordinator.shards.values())
+        + [
+            LocalShard(
+                shard_spec(
+                    "shard-2",
+                    fingerprint_db,
+                    motion_db,
+                    config,
+                    wal_path=tmp_path / "shard-2.wal",
+                    checkpoint_path=tmp_path / "shard-2.ckpt",
+                )
+            )
+        ]
+    )
+    assert grown, "the fixture should move at least one session"
+    snapshot()
+    _serve(coordinator, fixes, workload.ticks[third : 2 * third])
+    snapshot()
+    leaver = sorted(workload.sessions)[0]
+    coordinator.shards[coordinator.session_homes()[leaver]].request(
+        {"op": "remove_session", "session_id": leaver}
+    )
+    snapshot()
+    coordinator.reshard(
+        [
+            shard
+            for shard_id, shard in coordinator.shards.items()
+            if shard_id != "shard-2"
+        ]
+    )
+    snapshot()
+    _serve(coordinator, fixes, workload.ticks[2 * third :])
+    snapshot()
+    coordinator.shutdown()
+
+    for before, after in zip(merged, merged[1:]):
+        for section in ("engine", "sessions"):
+            for name, value in before[section]["counters"].items():
+                assert after[section]["counters"][name] >= value, name
+    final = merged[-1]
+    assert final["schema"] == 3
+    assert (
+        final["sessions"]["counters"]["service.fixes"]
+        == final["engine"]["counters"]["engine.intervals"]
+        > merged[0]["engine"]["counters"]["engine.intervals"]
+    )
+
+
 ROGUE_AP = 5
 N_APS = 6
 

@@ -127,12 +127,10 @@ def baseline_run(attack_world, tmp_path_factory):
 class TestDefendedKillAnywhere:
     def test_the_attack_and_the_defense_actually_engaged(self, baseline_run):
         """A vacuous baseline would make the sweep below meaningless."""
-        _, services, _, tick_fixes, checkpoints = baseline_run
-        quarantines = sum(
-            service.metrics.counter("service.trust.quarantines").value
-            for service in services.values()
-        )
-        assert quarantines > 0
+        engine, _, _, tick_fixes, checkpoints = baseline_run
+        # Every session counts into the engine's one session registry.
+        counters = engine.metrics_snapshot()["sessions"]["counters"]
+        assert counters["service.trust.quarantines"] > 0
         masked = {
             ap
             for fixes in tick_fixes
