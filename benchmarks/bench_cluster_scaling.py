@@ -83,7 +83,6 @@ from repro.cluster import (
 )
 from repro.serving import (
     BatchedServingEngine,
-    IntervalEvent,
     build_session_services,
     fix_stream_checksum,
     serve_batched,
@@ -116,18 +115,6 @@ def _machine_fingerprint() -> dict:
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
     }
-
-
-def _events_of(tick) -> list:
-    return [
-        IntervalEvent(
-            session_id=interval.session_id,
-            scan=interval.scan,
-            imu=interval.imu,
-            sequence=interval.sequence,
-        )
-        for interval in tick
-    ]
 
 
 def _checksums(fixes: dict) -> dict:
@@ -206,7 +193,7 @@ def _serve_cluster(
     start = time.perf_counter()
     try:
         for tick in workload.ticks:
-            events = _events_of(tick)
+            events = list(tick)
             outcome = coordinator.tick_detailed(events)
             for event, fix in zip(events, outcome.fixes):
                 fixes[event.session_id].append(fix)

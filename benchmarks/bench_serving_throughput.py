@@ -64,7 +64,6 @@ from repro.serving import (
     AdmissionController,
     BatchedServingEngine,
     BatchMatcher,
-    IntervalEvent,
     ServeResult,
     TransitionEvaluator,
     build_session_services,
@@ -193,15 +192,8 @@ def test_serving_throughput(benchmark, study, report, metrics_out):
     admitted_fixes = {sid: [] for sid in admission_services}
     n_admitted = 0
     for tick in timed_workload.ticks:
-        for interval in tick:
-            accepted = admission.offer(
-                IntervalEvent(
-                    session_id=interval.session_id,
-                    scan=interval.scan,
-                    imu=interval.imu,
-                    sequence=interval.sequence,
-                )
-            )
+        for event in tick:
+            accepted = admission.offer(event)
             assert accepted, "ample-capacity queue rejected an event"
         batch = admission.drain()
         for event, fix in zip(batch, admission_engine.tick(batch)):

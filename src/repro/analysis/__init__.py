@@ -1,4 +1,5 @@
-"""Analysis helpers: CDFs, summary stats, bootstrap CIs, text tables."""
+"""Analysis helpers: CDFs, ambiguity and coverage reports, text tables,
+the scenario matrix and the red-team sweep."""
 
 from .ambiguity import AmbiguityReport, TwinPair, analyze_ambiguity
 from .cdf import EmpiricalCdf
@@ -16,7 +17,6 @@ from .matrix import (
 from .comparison import SystemComparison, compare_systems
 from .coverage import CoverageReport, LocationCoverage, analyze_coverage
 from .redteam import GATE_RATIO, run_redteam
-from .stats import SummaryStats, bootstrap_ci, summarize
 from .tables import format_cdf_series, format_table
 
 __all__ = [
@@ -31,9 +31,6 @@ __all__ = [
     "analyze_coverage",
     "GATE_RATIO",
     "run_redteam",
-    "SummaryStats",
-    "summarize",
-    "bootstrap_ci",
     "format_cdf_series",
     "format_table",
     "LoadLevel",

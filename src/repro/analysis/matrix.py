@@ -300,7 +300,6 @@ def _serve_cell(
     from ..chaos import ChaosHarness, FaultPlan
     from ..serving import (
         BatchedServingEngine,
-        IntervalEvent,
         build_session_services,
         workload_checksum,
     )
@@ -384,15 +383,7 @@ def _serve_cell(
         durations: List[float] = []
         n_intervals = 0
         for tick in workload.ticks:
-            events = [
-                IntervalEvent(
-                    session_id=interval.session_id,
-                    scan=interval.scan,
-                    imu=interval.imu,
-                    sequence=interval.sequence,
-                )
-                for interval in tick
-            ]
+            events = list(tick)
             started = time.perf_counter()
             outcome = harness.tick_detailed(events)
             durations.append(time.perf_counter() - started)

@@ -127,7 +127,6 @@ def _epoch0_bitwise_identical(study, traces, fingerprint_db, motion_db) -> bool:
     """Frozen vs epoch-0 epochal engine: fix streams must match bitwise."""
     from ..serving import (
         BatchedServingEngine,
-        IntervalEvent,
         build_session_services,
         fix_stream_checksum,
     )
@@ -145,15 +144,7 @@ def _epoch0_bitwise_identical(study, traces, fingerprint_db, motion_db) -> bool:
             engine.add_session(session_id, service)
         fixes: List[object] = []
         for tick in workload.ticks:
-            events = [
-                IntervalEvent(
-                    session_id=interval.session_id,
-                    scan=interval.scan,
-                    imu=interval.imu,
-                    sequence=interval.sequence,
-                )
-                for interval in tick
-            ]
+            events = list(tick)
             outcome = engine.tick_detailed(events)
             fixes.extend(fix for fix in outcome.fixes if fix is not None)
         return fix_stream_checksum(fixes)

@@ -40,8 +40,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from .analysis.cdf import EmpiricalCdf
 from .analysis.tables import format_cdf_series, format_table
 from .io.serialize import (
@@ -669,11 +667,7 @@ def _chaos(
     import json
 
     from .chaos import ChaosHarness, FaultPlan
-    from .serving import (
-        BatchedServingEngine,
-        IntervalEvent,
-        build_session_services,
-    )
+    from .serving import BatchedServingEngine, build_session_services
     from .sim.evaluation import multi_session_workload
 
     fingerprint_db = study.fingerprint_db(n_aps)
@@ -744,17 +738,7 @@ def _chaos(
         "evicted": 0,
     }
     for tick in workload.ticks:
-        outcome = harness.tick_detailed(
-            [
-                IntervalEvent(
-                    session_id=interval.session_id,
-                    scan=interval.scan,
-                    imu=interval.imu,
-                    sequence=interval.sequence,
-                )
-                for interval in tick
-            ]
-        )
+        outcome = harness.tick_detailed(list(tick))
         totals["served"] += len(outcome.served)
         totals["faulted"] += len(outcome.faulted)
         totals["quarantined"] += len(outcome.quarantined)

@@ -33,10 +33,9 @@ presents the single-engine serving surface at cluster scale:
   mid-run, without touching the sessions that stay put (rendezvous
   hashing keeps that set to ~1/(N+1) when growing by one shard).
 
-The coordinator drains an optional
-:class:`~repro.serving.admission.AdmissionController` through
-:meth:`ClusterCoordinator.pump`, so overload shedding happens once at
-the front door, before routing.
+The coordinator has no admission queue of its own: overload shedding
+happens once at the front door, in the ingress
+(:mod:`repro.ingress`), before routing.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..db.epochs import Update, update_to_dict
 from ..observability import MetricsRegistry
-from ..serving.admission import AdmissionController
 from ..serving.engine import (
     CHECKPOINT_FORMAT_VERSION,
     EPOCHAL_CHECKPOINT_FORMAT_VERSION,
@@ -111,7 +109,6 @@ class ClusterCoordinator:
     Args:
         shards: The shard transports, already started; shard ids must
             be unique.
-        admission: Optional front-door queue for :meth:`pump`.
         metrics: Registry for the coordinator's own counters (a fresh
             one when omitted).  Shard engines keep their own registries;
             :meth:`metrics_snapshot` merges them, keeping the final
@@ -124,7 +121,6 @@ class ClusterCoordinator:
     def __init__(
         self,
         shards: Sequence[object],
-        admission: Optional[AdmissionController] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         ids = [shard.shard_id for shard in shards]
@@ -137,7 +133,6 @@ class ClusterCoordinator:
             shard.shard_id: ShardTicker(shard) for shard in shards
         }
         self.router = ShardRouter(ids)
-        self.admission = admission
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._tick_index = 0
         self._retired_snapshots: List[Dict[str, object]] = []
@@ -198,7 +193,6 @@ class ClusterCoordinator:
         """
         shard_id = self.router.route(entry["session_id"])
         self._request(shard_id, {"op": "add_session", "entry": entry})
-        self._g_sessions.set(len(self.session_homes()))
         return shard_id
 
     def session_homes(self) -> Dict[str, str]:
@@ -217,16 +211,6 @@ class ClusterCoordinator:
     def tick(self, events: Sequence[IntervalEvent]) -> List[object]:
         """Serve one cluster tick (see :meth:`tick_detailed`)."""
         return self.tick_detailed(events).fixes
-
-    def pump(self, max_batch: Optional[int] = None) -> ClusterTickOutcome:
-        """Drain the admission queue into one cluster tick.
-
-        Raises:
-            ValueError: if no admission controller was configured.
-        """
-        if self.admission is None:
-            raise ValueError("coordinator has no admission controller")
-        return self.tick_detailed(self.admission.drain(max_batch))
 
     def tick_detailed(
         self, events: Sequence[IntervalEvent]
@@ -500,11 +484,20 @@ class ClusterCoordinator:
             "merged": ...}``: every live shard engine's snapshot, and
             ``merged`` summing them and retired shards into one engine
             document (see :func:`~repro.cluster.core.fleet_snapshot`).
+            The ``cluster.sessions`` gauge is set here, to the sum of
+            the live shards' ``engine.sessions``.
         """
         shard_snapshots = {
             shard_id: self._request(shard_id, {"op": "metrics"})[0]["metrics"]
             for shard_id in self.router.shard_ids
         }
+        # A shard that never held a session has never set its gauge.
+        self._g_sessions.set(
+            sum(
+                snapshot["engine"]["gauges"]["engine.sessions"] or 0
+                for snapshot in shard_snapshots.values()
+            )
+        )
         return fleet_snapshot(
             {"coordinator": self.metrics.snapshot()},
             shard_snapshots,

@@ -49,18 +49,6 @@ class DenseMotionView:
     offset_std_m: np.ndarray
     valid: np.ndarray
 
-    def index_of(self, location_id: int) -> Optional[int]:
-        """The row/column index of a location, or None if uncovered."""
-        return self._index.get(location_id)
-
-    @property
-    def _index(self) -> Dict[int, int]:
-        cached = self.__dict__.get("_index_cache")
-        if cached is None:
-            cached = {lid: k for k, lid in enumerate(self.location_ids)}
-            object.__setattr__(self, "_index_cache", cached)
-        return cached
-
 
 @dataclass(frozen=True)
 class PairStatistics:

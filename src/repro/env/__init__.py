@@ -1,6 +1,5 @@
 """Environment substrate: geometry, floor plans, and walkable aisle graphs."""
 
-from .builders import grid_floorplan
 from .floorplan import FloorPlan, ReferenceLocation
 from .geometry import (
     Point,
@@ -23,7 +22,6 @@ from .procedural import (
     GeneratedEnvironment,
     environment_checksum,
     generate_environment,
-    register_placement_policy,
 )
 from .render import render_floorplan
 
@@ -46,12 +44,10 @@ __all__ = [
     "GRID_ROWS",
     "GRID_COLS",
     "render_floorplan",
-    "grid_floorplan",
     "TOPOLOGIES",
     "PLACEMENT_POLICIES",
     "EnvironmentSpec",
     "GeneratedEnvironment",
     "generate_environment",
-    "register_placement_policy",
     "environment_checksum",
 ]

@@ -14,8 +14,7 @@ from ``(seed, spec)``:
   path).
 * **AP placement policies** — ``grid``, ``perimeter``, ``clustered``,
   and ``sparse-adversarial`` (every AP on the symmetry axis, the paper's
-  twin-manufacturing geometry), pluggable via
-  :func:`register_placement_policy`.
+  twin-manufacturing geometry).
 
 Generated worlds come out as the existing :class:`~repro.env.floorplan.FloorPlan`
 and :class:`~repro.env.graph.WalkableGraph` types wrapped in an
@@ -30,8 +29,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -46,7 +45,6 @@ __all__ = [
     "EnvironmentSpec",
     "GeneratedEnvironment",
     "generate_environment",
-    "register_placement_policy",
     "environment_checksum",
 ]
 
@@ -712,21 +710,10 @@ PLACEMENT_POLICIES: Dict[str, PlacementPolicy] = {
     "clustered": _place_clustered,
     "sparse-adversarial": _place_sparse_adversarial,
 }
-"""The registered AP placement policies, extensible via
-:func:`register_placement_policy`."""
-
-
-def register_placement_policy(name: str, policy: PlacementPolicy) -> None:
-    """Register a custom AP placement policy under ``name``.
-
-    The policy is called as ``policy(spec, width, height, floor_bands,
-    rng)`` and must return exactly ``spec.n_aps`` in-bounds positions.
-    Registering an existing name raises; policies are global, so tests
-    should clean up after themselves.
-    """
-    if name in PLACEMENT_POLICIES:
-        raise ValueError(f"placement policy {name!r} is already registered")
-    PLACEMENT_POLICIES[name] = policy
+"""The AP placement policies by name.  Each is called as
+``policy(spec, width, height, floor_bands, rng)`` and must return
+exactly ``spec.n_aps`` in-bounds positions; :func:`generate_environment`
+checks both."""
 
 
 # ----------------------------------------------------------------------

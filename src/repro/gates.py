@@ -52,7 +52,6 @@ from .cluster import (
 )
 from .serving import (
     BatchedServingEngine,
-    IntervalEvent,
     build_session_services,
     fix_stream_checksum,
     serve_sequential,
@@ -71,7 +70,6 @@ __all__ = [
     "World",
     "admit_sessions",
     "bitwise",
-    "events_of",
     "make_shards",
     "run_cluster",
     "run_gate",
@@ -92,19 +90,6 @@ class World(NamedTuple):
     motion_db: object
     config: object
     workload: object
-
-
-def events_of(tick) -> List[IntervalEvent]:
-    """One workload tick as engine events."""
-    return [
-        IntervalEvent(
-            session_id=interval.session_id,
-            scan=interval.scan,
-            imu=interval.imu,
-            sequence=interval.sequence,
-        )
-        for interval in tick
-    ]
 
 
 def make_shards(
@@ -204,7 +189,7 @@ def run_cluster(
     for tick in workload.ticks:
         if on_tick is not None:
             on_tick(target)
-        events = events_of(tick)
+        events = list(tick)
         if harness is None:
             delivered, outcome = events, target.tick_detailed(events)
         else:

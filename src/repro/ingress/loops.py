@@ -31,8 +31,8 @@ timeline, aggregated into the ``ingress.latency_s`` histogram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence
 
 from ..cluster.core import ShardTicker, flip_cluster_epoch
 from ..cluster.routing import ShardRouter
@@ -148,14 +148,14 @@ class IngressResult:
 
 
 def event_of(arrival: Arrival) -> IntervalEvent:
-    """The engine event for one scheduled arrival."""
-    interval = arrival.interval
-    return IntervalEvent(
-        session_id=interval.session_id,
-        scan=interval.scan,
-        imu=interval.imu,
-        sequence=interval.sequence,
-    )
+    """The engine event for one scheduled arrival: a copy of its interval.
+
+    The copy is the point.  :class:`IngressDriver` keys in-flight
+    arrivals by ``id(event)``, and a reconnect-storm redelivery carries
+    the *same* interval object as the original, so the two may sit in
+    one admission queue at once; each arrival needs its own object.
+    """
+    return replace(arrival.interval)
 
 
 def _status_of(outcome: object, session_id: str) -> str:
@@ -240,11 +240,6 @@ class IngressDriver:
         # current logical instant (the evict callback needs both).
         self._inflight: Dict[int, EventDisposition] = {}
         self._now_s = 0.0
-
-    @property
-    def tickers(self) -> Dict[str, ShardTicker]:
-        """The per-shard tick timelines (read-only view)."""
-        return dict(self._tickers)
 
     def add_session(self, entry: Dict[str, object]) -> str:
         """Admit one session (a checkpoint entry) to its home shard."""
@@ -405,7 +400,7 @@ def lockstep_fix_streams(
     ordered = sorted(arrivals, key=lambda arrival: arrival.t_s)
     admission = AdmissionController(capacity=max(1, len(ordered)))
     for arrival in ordered:
-        admission.offer(event_of(arrival))
+        admission.offer(arrival.interval)
     fixes: Dict[str, List[object]] = {}
     while len(admission):
         batch = admission.drain(max_batch)

@@ -61,7 +61,7 @@ from ..serving.admission import AdmissionController
 from ..serving.checkpoint import event_from_dict, event_to_dict
 from ..serving.engine import IntervalEvent
 from ..sim.evaluation import Arrival
-from .loops import IngressConfig, _status_of, event_of
+from .loops import IngressConfig, _status_of
 
 __all__ = ["IngressServer", "replay_schedule"]
 
@@ -650,7 +650,7 @@ async def replay_schedule(
                 {
                     "op": "serve",
                     "id": slot,
-                    "event": event_to_dict(event_of(arrival)),
+                    "event": event_to_dict(arrival.interval),
                 }
             )
             writer.write((line + "\n").encode())

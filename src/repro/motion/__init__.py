@@ -19,7 +19,6 @@ from .rlm import (
     extract_measurement,
     measurement_from,
 )
-from .segmentation import StreamSegment, segment_at_turns
 from .stride import StepLengthEstimator
 from .step_counting import (
     StepDetection,
@@ -49,8 +48,6 @@ __all__ = [
     "measurement_from",
     "count_steps_csc",
     "StepLengthEstimator",
-    "StreamSegment",
-    "segment_at_turns",
     "count_steps_dsc",
     "StepDetection",
     "detect_steps",

@@ -111,11 +111,6 @@ class HealthStatus:
     masked_ap_ids: Tuple[int, ...] = ()
     recalibrated: bool = False
 
-    @property
-    def is_degraded(self) -> bool:
-        """Whether anything at all went wrong this interval."""
-        return bool(self.faults) or self.mode is not ServingMode.MOTION_ASSISTED
-
     def has_fault(self, fault: FaultType) -> bool:
         """Whether a specific fault class was detected this interval."""
         return fault in self.faults

@@ -3,13 +3,14 @@
 One :class:`ImuSegment` is what the phone records during one localization
 interval: the accelerometer-magnitude samples and the compass readings,
 both at the common IMU rate (paper: 10 Hz), plus ground truth kept aside
-for scoring.
+for scoring.  An :class:`IntervalEvent` is that segment together with
+the interval's WiFi scan, as one session delivers it to the server.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .accelerometer import AccelerometerModel, AccelSignal
 from .compass import CompassModel
 from .gyroscope import GyroscopeModel
 
-__all__ = ["ImuSegment", "ImuModel"]
+__all__ = ["ImuSegment", "IntervalEvent", "ImuModel"]
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,35 @@ class ImuSegment:
     def duration_s(self) -> float:
         """Recording duration in seconds."""
         return self.accel.duration_s
+
+
+@dataclass(frozen=True)
+class IntervalEvent:
+    """One session's input for one serving tick.
+
+    Workloads carry these (one per session per tick), and the serving
+    engine, the shards and the ingress consume them as they are.
+
+    Attributes:
+        session_id: Which session the inputs belong to.
+        scan: The WiFi scan (per-AP dBm), or None if none arrived
+            (resilient sessions coast; plain sessions raise, as
+            sequentially).
+        imu: The IMU segment since the session's previous interval, or
+            None on the session's first interval.
+        sequence: Optional per-session monotonic sequence number (0 for
+            a workload session's first interval).  When supplied, the
+            engine detects duplicate deliveries (same number as the last
+            served event — answered idempotently from the cached fix)
+            and stale reordered ones (smaller number — dropped), and
+            counts delivery gaps.  None opts the event out of ordering
+            checks entirely.
+    """
+
+    session_id: str
+    scan: Optional[Sequence[float]]
+    imu: Optional[ImuSegment] = None
+    sequence: Optional[int] = None
 
 
 @dataclass(frozen=True)

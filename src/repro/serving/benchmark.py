@@ -30,7 +30,7 @@ from ..motion.trace import WalkTrace
 from ..robustness.service import ResilientMoLocService
 from ..service import MoLocService
 from ..sim.evaluation import MultiSessionWorkload, multi_session_workload
-from .engine import BatchedServingEngine, IntervalEvent
+from .engine import BatchedServingEngine
 
 __all__ = [
     "ServeResult",
@@ -149,15 +149,7 @@ def serve_batched(
     durations: List[float] = []
     n_intervals = 0
     for tick in workload.ticks:
-        events = [
-            IntervalEvent(
-                session_id=interval.session_id,
-                scan=interval.scan,
-                imu=interval.imu,
-                sequence=interval.sequence,
-            )
-            for interval in tick
-        ]
+        events = list(tick)
         started = time.perf_counter()
         tick_fixes = engine.tick(events)
         durations.append(time.perf_counter() - started)

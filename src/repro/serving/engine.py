@@ -78,7 +78,7 @@ from ..observability import (
 from ..robustness.health import FaultType, ServingMode
 from ..robustness.sanitizer import check_imu
 from ..robustness.service import ResilientMoLocService, ResilientPreparedInterval
-from ..sensors.imu import ImuSegment
+from ..sensors.imu import ImuSegment, IntervalEvent
 from ..service import MoLocService, PrecomputedInputs, PreparedInterval
 from .scheduler import BatchMatcher, MatchRequest
 from .session import QuarantinePolicy, SessionManager, SessionRecord
@@ -115,29 +115,6 @@ one registry whose counters never go backwards."""
 # they signal process-level failure (exhausted memory, a blown stack),
 # not a fault scoped to one session's inputs.
 _NON_ISOLABLE = (MemoryError, RecursionError)
-
-
-@dataclass(frozen=True)
-class IntervalEvent:
-    """One session's input for one serving tick.
-
-    Attributes:
-        session_id: Which session the inputs belong to.
-        scan: The WiFi scan, or None if none arrived (resilient
-            sessions coast; plain sessions raise, as sequentially).
-        imu: The IMU segment since the session's previous interval.
-        sequence: Optional per-session monotonic sequence number.  When
-            supplied, the engine detects duplicate deliveries (same
-            number as the last served event — answered idempotently
-            from the cached fix) and stale reordered ones (smaller
-            number — dropped), and counts delivery gaps.  None opts the
-            event out of ordering checks entirely.
-    """
-
-    session_id: str
-    scan: Optional[Sequence[float]]
-    imu: Optional[ImuSegment] = None
-    sequence: Optional[int] = None
 
 
 @dataclass(frozen=True)

@@ -101,11 +101,6 @@ class TransitionEvaluator:
         """Whole-vector Eq. 6 lookups served from cache."""
         return self._c_hits.value
 
-    @property
-    def set_cache_misses(self) -> int:
-        """Whole-vector Eq. 6 lookups that had to compute."""
-        return self._c_misses.value
-
     def evaluate(
         self,
         prior: Sequence[Tuple[int, float]],

@@ -16,7 +16,7 @@ Reproduces the paper's measurement methodology (Sec. VI):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Literal, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -27,14 +27,13 @@ from ..motion.kernel import SegmentMotion, segment_motions
 from ..motion.rlm import measurement_from
 from ..motion.trace import WalkTrace
 from ..observability import DEFAULT_SIZE_BUCKETS, MetricsRegistry
-from ..sensors.imu import ImuSegment
+from ..sensors.imu import IntervalEvent
 
 __all__ = [
     "LocalizationRecord",
     "TraceEvaluation",
     "EvaluationResult",
     "ConvergenceStatistics",
-    "SessionInterval",
     "MultiSessionWorkload",
     "Arrival",
     "ArrivalSchedule",
@@ -296,26 +295,6 @@ def evaluate_smoother(
     return EvaluationResult(traces=evaluated)
 
 
-@dataclass(frozen=True)
-class SessionInterval:
-    """One session's inputs for one serving tick of a workload.
-
-    Attributes:
-        session_id: The session these inputs belong to.
-        scan: The WiFi scan (per-AP dBm), or None for a lost scan.
-        imu: The IMU segment since the session's previous interval, or
-            None on the session's first interval.
-        sequence: Per-session monotonic delivery number (0 for the
-            session's first interval), or None for workloads that do
-            not model message ordering.
-    """
-
-    session_id: str
-    scan: Optional[Tuple[float, ...]]
-    imu: Optional[ImuSegment]
-    sequence: Optional[int] = None
-
-
 @dataclass
 class MultiSessionWorkload:
     """A multi-user serving load: who sends what, on which tick.
@@ -328,21 +307,17 @@ class MultiSessionWorkload:
         sessions: Each session id mapped to the walk it replays (the
             benchmark harness needs the trace for per-session
             calibration and step length).
-        ticks: Per tick, the intervals arriving on it, in session order.
+        ticks: Per tick, the intervals arriving on it, in session order,
+            as the engine events that serve them.
     """
 
     sessions: Dict[str, WalkTrace]
-    ticks: List[List[SessionInterval]]
+    ticks: List[List[IntervalEvent]]
 
     @property
     def n_intervals(self) -> int:
         """Total intervals across all ticks."""
         return sum(len(tick) for tick in self.ticks)
-
-    @property
-    def peak_concurrency(self) -> int:
-        """The widest tick (sessions served simultaneously)."""
-        return max((len(tick) for tick in self.ticks), default=0)
 
 
 def multi_session_workload(
@@ -398,18 +373,18 @@ def multi_session_workload(
         return fingerprint.rss
 
     sessions: Dict[str, WalkTrace] = {}
-    scripts: List[Tuple[str, int, List[SessionInterval]]] = []
+    scripts: List[Tuple[str, int, List[IntervalEvent]]] = []
     for index in range(n_sessions):
         trace = corpus[index % len(corpus)]
         session_id = f"user-{index:04d}"
         sessions[session_id] = trace
         intervals = [
-            SessionInterval(
+            IntervalEvent(
                 session_id, scan_of(trace.initial_fingerprint), None, 0
             )
         ]
         intervals.extend(
-            SessionInterval(
+            IntervalEvent(
                 session_id,
                 scan_of(hop.arrival_fingerprint),
                 hop.imu,
@@ -421,7 +396,7 @@ def multi_session_workload(
         scripts.append((session_id, start_tick, intervals))
 
     n_ticks = max(start + len(ivs) for _, start, ivs in scripts)
-    ticks: List[List[SessionInterval]] = [[] for _ in range(n_ticks)]
+    ticks: List[List[IntervalEvent]] = [[] for _ in range(n_ticks)]
     for _, start, intervals in scripts:
         for offset, interval in enumerate(intervals):
             ticks[start + offset].append(interval)
@@ -445,13 +420,14 @@ class Arrival:
         t_s: Arrival time on the schedule's clock (seconds from start).
         interval: The session interval that arrives.
         redelivery: Whether this is a reconnect-storm re-send of an
-            interval already delivered earlier (same session, same
-            sequence number) — the duplicate the serving engine's
-            sequence gate must answer idempotently.
+            interval already delivered earlier (the same interval
+            object, so the same session and sequence number) — the
+            duplicate the serving engine's sequence gate must answer
+            idempotently.
     """
 
     t_s: float
-    interval: SessionInterval
+    interval: IntervalEvent
     redelivery: bool = False
 
 
@@ -568,7 +544,7 @@ def open_loop_schedule(
         )
 
     # Per-session interval scripts, in the workload's session order.
-    scripts: Dict[str, List[SessionInterval]] = {
+    scripts: Dict[str, List[IntervalEvent]] = {
         session_id: [] for session_id in workload.sessions
     }
     for tick in workload.ticks:
@@ -576,10 +552,10 @@ def open_loop_schedule(
             scripts[interval.session_id].append(interval)
 
     arrivals: List[Arrival] = []
-    delivered: Dict[str, List[Tuple[float, SessionInterval]]] = {}
+    delivered: Dict[str, List[Tuple[float, IntervalEvent]]] = {}
     for session_id, intervals in scripts.items():
         t_s = 0.0
-        timeline: List[Tuple[float, SessionInterval]] = []
+        timeline: List[Tuple[float, IntervalEvent]] = []
         for interval in intervals:
             t_s += float(rng.exponential(1.0 / rate_at(t_s)))
             send_s = t_s + (

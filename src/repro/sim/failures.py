@@ -22,7 +22,6 @@ from ..core.fingerprint import Fingerprint
 from ..motion.trace import TraceHop, WalkTrace
 from ..radio.propagation import SENSITIVITY_FLOOR_DBM
 from ..sensors.imu import ImuSegment
-from .evaluation import MultiSessionWorkload, SessionInterval
 
 __all__ = [
     "silence_ap",
@@ -30,8 +29,6 @@ __all__ = [
     "inject_grip_shift",
     "inject_step_length_bias",
     "inject_imu_dropout",
-    "inject_message_duplication",
-    "inject_message_reorder",
 ]
 
 
@@ -174,74 +171,3 @@ def inject_imu_dropout(
             dataclasses.replace(hop, imu=dataclasses.replace(hop.imu, accel=flat))
         )
     return dataclasses.replace(trace, hops=hops)
-
-
-def _interval_of(
-    workload: MultiSessionWorkload, session_id: str, tick: int
-) -> SessionInterval:
-    """The session's interval on the given tick, or raise."""
-    if not 0 <= tick < len(workload.ticks):
-        raise ValueError(
-            f"tick {tick} out of range for {len(workload.ticks)}-tick workload"
-        )
-    for interval in workload.ticks[tick]:
-        if interval.session_id == session_id:
-            return interval
-    raise ValueError(
-        f"session {session_id!r} has no interval on tick {tick}"
-    )
-
-
-def inject_message_duplication(
-    workload: MultiSessionWorkload, session_id: str, tick: int
-) -> MultiSessionWorkload:
-    """The session's tick-``tick`` message is delivered twice.
-
-    The duplicate (same payload, same sequence number) arrives on the
-    *next* tick — the at-least-once-delivery failure a flaky transport
-    produces.  A sequence-aware consumer must answer it idempotently
-    instead of advancing the posterior twice.  The next tick must not
-    already carry an interval for the session (one session serves at
-    most one interval per tick).
-
-    Raises:
-        ValueError: for an out-of-range tick, a session with no
-            interval on it, or a next tick already carrying the session.
-    """
-    interval = _interval_of(workload, session_id, tick)
-    if tick + 1 < len(workload.ticks) and any(
-        other.session_id == session_id for other in workload.ticks[tick + 1]
-    ):
-        raise ValueError(
-            f"session {session_id!r} already has an interval on tick "
-            f"{tick + 1}; cannot deliver the duplicate there"
-        )
-    ticks = [list(entries) for entries in workload.ticks]
-    if tick + 1 == len(ticks):
-        ticks.append([])
-    ticks[tick + 1].append(interval)
-    return MultiSessionWorkload(sessions=dict(workload.sessions), ticks=ticks)
-
-
-def inject_message_reorder(
-    workload: MultiSessionWorkload, session_id: str, tick: int
-) -> MultiSessionWorkload:
-    """The session's tick-``tick`` and tick-``tick+1`` messages swap.
-
-    Models out-of-order delivery: the later interval (higher sequence
-    number) arrives first, then the earlier one.  A sequence-aware
-    consumer sees a delivery gap followed by a stale message.
-
-    Raises:
-        ValueError: if either tick lacks an interval for the session.
-    """
-    first = _interval_of(workload, session_id, tick)
-    second = _interval_of(workload, session_id, tick + 1)
-    ticks = [list(entries) for entries in workload.ticks]
-    ticks[tick] = [
-        second if entry is first else entry for entry in ticks[tick]
-    ]
-    ticks[tick + 1] = [
-        first if entry is second else entry for entry in ticks[tick + 1]
-    ]
-    return MultiSessionWorkload(sessions=dict(workload.sessions), ticks=ticks)

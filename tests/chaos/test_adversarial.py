@@ -18,11 +18,7 @@ import pytest
 from repro.chaos import ChaosHarness, FaultKind, FaultPlan
 from repro.chaos.plan import ADVERSARY_KINDS, MESSAGE_KINDS
 from repro.cluster import ClusterChaosHarness
-from repro.serving import (
-    BatchedServingEngine,
-    IntervalEvent,
-    build_session_services,
-)
+from repro.serving import BatchedServingEngine, build_session_services
 from repro.sim.evaluation import multi_session_workload
 
 from tests.cluster.cluster_helpers import (
@@ -90,12 +86,7 @@ class TestEngineHarnessAccounting:
         for tick in workload.ticks:
             harness.tick(
                 [
-                    IntervalEvent(
-                        session_id=interval.session_id,
-                        scan=interval.scan,
-                        imu=interval.imu,
-                        sequence=interval.sequence,
-                    )
+                    interval
                     for interval in tick
                     if interval.session_id in engine.sessions
                 ]
@@ -135,17 +126,7 @@ class TestEngineHarnessAccounting:
         for session_id, service in services.items():
             engine.add_session(session_id, service)
         for tick in workload.ticks[:4]:
-            harness.tick(
-                [
-                    IntervalEvent(
-                        session_id=interval.session_id,
-                        scan=interval.scan,
-                        imu=interval.imu,
-                        sequence=interval.sequence,
-                    )
-                    for interval in tick
-                ]
-            )
+            harness.tick(list(tick))
         counters = engine.metrics_snapshot()["engine"]["counters"]
         # Tick 1 carries the victim's first-ever scan: nothing captured
         # yet, so the replay must reconcile as skipped.  By tick 3 a

@@ -156,15 +156,7 @@ def _serve(churn_world, plan):
         engine.add_session(session_id, service)
     per_tick = []
     for tick in workload.ticks:
-        events = [
-            IntervalEvent(
-                session_id=interval.session_id,
-                scan=interval.scan,
-                imu=interval.imu,
-                sequence=interval.sequence,
-            )
-            for interval in tick
-        ]
+        events = list(tick)
         if harness is not None:
             harness.tick_detailed(events)
             fixes = {
@@ -275,15 +267,7 @@ class TestHarnessChurn:
             engine.add_session(session_id, service)
         delivered = []
         for tick in workload.ticks:
-            events = [
-                IntervalEvent(
-                    session_id=interval.session_id,
-                    scan=interval.scan,
-                    imu=interval.imu,
-                    sequence=interval.sequence,
-                )
-                for interval in tick
-            ]
+            events = list(tick)
             harness.tick_detailed(events)
             delivered.append(list(harness.last_delivered))
         # The duplicated message shows up twice in the delivered frames;

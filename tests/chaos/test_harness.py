@@ -16,7 +16,6 @@ import pytest
 from repro.chaos import ChaosError, ChaosHarness, FaultKind, FaultPlan, FaultSpec
 from repro.serving import (
     BatchedServingEngine,
-    IntervalEvent,
     build_session_services,
     fix_stream_checksum,
     serve_batched,
@@ -43,14 +42,9 @@ def storm_world(small_study):
     return fingerprint_db, motion_db, small_study.config, workload
 
 
-def _events_of(tick, engine):
+def _routable(tick, engine):
     return [
-        IntervalEvent(
-            session_id=interval.session_id,
-            scan=interval.scan,
-            imu=interval.imu,
-            sequence=interval.sequence,
-        )
+        interval
         for interval in tick
         if interval.session_id in engine.sessions
     ]
@@ -70,7 +64,7 @@ def _run_storm(storm_world, plan):
     outcomes = []
     tick_served_fixes = []  # one {session_id: fix} per tick, served only
     for tick in workload.ticks:
-        outcome = harness.tick_detailed(_events_of(tick, engine))
+        outcome = harness.tick_detailed(_routable(tick, engine))
         outcomes.append(outcome)
         by_session = {}
         for session_id in outcome.served:
@@ -244,7 +238,7 @@ class TestMessageFaults:
         )
         harness = ChaosHarness(engine, plan)
         for tick in workload.ticks:
-            harness.tick_detailed(_events_of(tick, engine))
+            harness.tick_detailed(_routable(tick, engine))
         assert harness.pending_redeliveries == 1
         # The re-delivery lands on the first tick without a fresh event.
         outcome = harness.tick_detailed([])
@@ -268,7 +262,7 @@ class TestMessageFaults:
         )
         harness = ChaosHarness(engine, plan)
         for tick in workload.ticks:
-            harness.tick_detailed(_events_of(tick, engine))
+            harness.tick_detailed(_routable(tick, engine))
         outcome = harness.tick_detailed([])
         assert outcome.stale == (victim,)
         counters = engine.metrics_snapshot()["engine"]["counters"]
@@ -287,13 +281,13 @@ class TestMessageFaults:
             ]
         )
         harness = ChaosHarness(engine, plan)
-        harness.tick_detailed(_events_of(workload.ticks[0], engine))
-        outcome = harness.tick_detailed(_events_of(workload.ticks[1], engine))
+        harness.tick_detailed(_routable(workload.ticks[0], engine))
+        outcome = harness.tick_detailed(_routable(workload.ticks[1], engine))
         assert victim not in outcome.served
         assert other in outcome.served
         assert len(outcome.fixes) == 1  # the event list shrank
         # The next delivery shows the engine a sequence gap, then serves.
-        outcome = harness.tick_detailed(_events_of(workload.ticks[2], engine))
+        outcome = harness.tick_detailed(_routable(workload.ticks[2], engine))
         assert victim in outcome.served
         counters = engine.metrics_snapshot()["engine"]["counters"]
         assert counters["chaos.injected.drop-message"] == 1
@@ -310,8 +304,8 @@ class TestMessageFaults:
             ]
         )
         harness = ChaosHarness(engine, plan)
-        harness.tick_detailed(_events_of(workload.ticks[0], engine))
-        outcome = harness.tick_detailed(_events_of(workload.ticks[1], engine))
+        harness.tick_detailed(_routable(workload.ticks[0], engine))
+        outcome = harness.tick_detailed(_routable(workload.ticks[1], engine))
         counters = engine.metrics_snapshot()["engine"]["counters"]
         assert counters["chaos.injected.truncate-scan"] == 1
         # The resilient service flags or coasts — it never serves a
@@ -352,7 +346,7 @@ class TestHarnessMechanics:
             ]
         )
         harness = ChaosHarness(engine, plan)
-        harness.tick_detailed(_events_of(workload.ticks[0], engine))
+        harness.tick_detailed(_routable(workload.ticks[0], engine))
         assert harness.clock_skew_s == 2.5
         counters = engine.metrics_snapshot()["engine"]["counters"]
         assert counters["chaos.injected.latency"] == 1
@@ -371,7 +365,7 @@ class TestHarnessMechanics:
             ]
         )
         harness = ChaosHarness(engine, plan)
-        outcome = harness.tick_detailed(_events_of(workload.ticks[0], engine))
+        outcome = harness.tick_detailed(_routable(workload.ticks[0], engine))
         assert outcome.served == (other,)
         assert outcome.faulted[0].session_id == victim
         assert "ChaosError" in outcome.faulted[0].error
@@ -394,7 +388,7 @@ class TestHarnessMechanics:
         harness = ChaosHarness(engine, plan)
         events = [
             event
-            for event in _events_of(workload.ticks[0], engine)
+            for event in _routable(workload.ticks[0], engine)
             if event.session_id != victim
         ]
         outcome = harness.tick_detailed(events)
@@ -425,11 +419,11 @@ class TestHarnessMechanics:
             ]
         )
         harness = ChaosHarness(engine, plan)
-        outcome = harness.tick_detailed(_events_of(workload.ticks[0], engine))
+        outcome = harness.tick_detailed(_routable(workload.ticks[0], engine))
         assert outcome.faulted[0].action == "quarantined"
         # Tick 2: the victim is inside its backoff window, so the
         # scheduled fault has nowhere to fire.
-        outcome = harness.tick_detailed(_events_of(workload.ticks[1], engine))
+        outcome = harness.tick_detailed(_routable(workload.ticks[1], engine))
         assert victim in outcome.quarantined
         counters = engine.metrics_snapshot()["engine"]["counters"]
         assert counters["chaos.injected.raise"] == 1
@@ -440,15 +434,7 @@ class TestHarnessMechanics:
         victim, other = sorted(workload.sessions)
         engine.remove_session(victim)
         harness = ChaosHarness(engine, FaultPlan())
-        events = [
-            IntervalEvent(
-                session_id=interval.session_id,
-                scan=interval.scan,
-                imu=interval.imu,
-                sequence=interval.sequence,
-            )
-            for interval in workload.ticks[0]
-        ]
+        events = list(workload.ticks[0])
         outcome = harness.tick_detailed(events)
         assert outcome.served == (other,)
         counters = engine.metrics_snapshot()["engine"]["counters"]
@@ -500,7 +486,7 @@ class TestLogicalClockStorms:
                 engine.add_session(session_id, service)
             shed = []
             for tick in workload.ticks:
-                outcome = harness.tick_detailed(_events_of(tick, engine))
+                outcome = harness.tick_detailed(_routable(tick, engine))
                 shed.append(outcome.shed)
             return shed, harness.clock_skew_s
 

@@ -16,7 +16,7 @@ import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster import ClusterCoordinator, LocalShard
-from repro.gates import admit_sessions, events_of, make_shards, run_cluster
+from repro.gates import admit_sessions, make_shards, run_cluster
 from repro.serving import (
     BatchedServingEngine,
     build_session_services,
@@ -31,7 +31,6 @@ __all__ = [
     "N_TRACES",
     "admit_sessions",
     "checksums",
-    "events_of",
     "make_cluster",
     "make_shards",
     "run_cluster",

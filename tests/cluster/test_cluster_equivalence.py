@@ -22,7 +22,6 @@ from repro.cluster import (
 )
 from repro.serving import build_session_services
 
-from cluster_helpers import events_of
 from golden_scenarios import SCENARIOS, load_golden, scenario_case, serialize_fix
 
 
@@ -59,7 +58,7 @@ def serve_cluster(study, name, n_shards, transport, tmp_path):
         )
     fixes = {session_id: [] for session_id in services}
     for tick in workload.ticks:
-        events = events_of(tick)
+        events = list(tick)
         outcome = coordinator.tick_detailed(events)
         for event, fix in zip(events, outcome.fixes):
             fixes[event.session_id].append(fix)

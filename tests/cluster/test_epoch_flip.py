@@ -23,7 +23,7 @@ from repro.db.epochs import (
 )
 from repro.serving import BatchedServingEngine, build_session_services
 
-from cluster_helpers import checksums, events_of, make_cluster, run_cluster
+from cluster_helpers import checksums, make_cluster, run_cluster
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +57,7 @@ def epochal_baseline_fixes(world, updates, flip_tick):
     for index, tick in enumerate(workload.ticks):
         if index == flip_tick:
             engine.advance_epoch(updates)
-        events = events_of(tick)
+        events = list(tick)
         for event, fix in zip(events, engine.tick(events)):
             fixes[event.session_id].append(fix)
     assert engine.epoch_id == 1
@@ -207,7 +207,7 @@ class TestKillDuringFlip:
 
         # The flipped cluster still serves.
         _, _, _, workload = world
-        events = events_of(workload.ticks[0])
+        events = list(workload.ticks[0])
         outcome = coordinator.tick_detailed(events)
         coordinator.shutdown()
 

@@ -27,9 +27,7 @@ from repro.serving import BatchedServingEngine, build_session_services
 from repro.serving.checkpoint import WriteAheadLog, event_to_dict
 
 from cluster_helpers import (
-    admit_sessions,
     checksums,
-    events_of,
     make_cluster,
     make_shards,
     run_cluster,
@@ -151,7 +149,7 @@ def test_redelivery_after_kill_replays_idempotently(world, tmp_path):
         last_request = {
             "op": "tick",
             "tick": tick_index,
-            "events": [event_to_dict(event) for event in events_of(tick)],
+            "events": [event_to_dict(event) for event in tick],
         }
         last_reply = shard.request(last_request)
         assert last_reply["replayed"] is False
@@ -180,7 +178,7 @@ def test_redelivery_after_kill_replays_idempotently(world, tmp_path):
         "op": "tick",
         "tick": 4,
         "events": [
-            event_to_dict(event) for event in events_of(workload.ticks[3])
+            event_to_dict(event) for event in workload.ticks[3]
         ],
     }
     reply = shard.request(next_request)
@@ -209,7 +207,7 @@ def test_engine_harness_counts_worker_kill_as_skipped(world):
         [FaultSpec(tick=1, session_id=victim, kind=FaultKind.WORKER_KILL)]
     )
     harness = ChaosHarness(engine, plan)
-    harness.tick_detailed(events_of(workload.ticks[0]))
+    harness.tick_detailed(list(workload.ticks[0]))
     counters = harness.metrics.snapshot()["counters"]
     assert counters["chaos.skipped"] == 1
     assert counters["chaos.injected.worker-kill"] == 0
@@ -237,39 +235,6 @@ def test_process_shard_sigkill_recovers_bitwise(
     assert state["killed"]
     assert checksums(fixes) == checksums(baseline_fixes)
     assert snapshot["coordinator"]["counters"]["cluster.recoveries"] == 1
-
-
-def test_admission_pump_feeds_the_cluster(world, baseline_fixes, tmp_path):
-    """The cluster drains the same front-door queue the engine does,
-    and an unconfigured coordinator refuses to pump."""
-    from repro.cluster import ClusterCoordinator
-    from repro.serving.admission import AdmissionController
-
-    fingerprint_db, motion_db, config, workload = world
-    admission = AdmissionController(capacity=4 * len(workload.sessions))
-    coordinator = ClusterCoordinator(
-        make_shards(world, tmp_path, 2), admission=admission
-    )
-    admit_sessions(coordinator, world)
-    fixes = {sid: [] for sid in workload.sessions}
-    for tick in workload.ticks:
-        events = events_of(tick)
-        for event in events:
-            assert admission.offer(event)
-        outcome = coordinator.pump()
-        for event, fix in zip(events, outcome.fixes):
-            fixes[event.session_id].append(fix)
-    coordinator.shutdown()
-    assert checksums(fixes) == checksums(baseline_fixes)
-
-    bare_dir = tmp_path / "bare"
-    bare_dir.mkdir()
-    bare = make_cluster(world, bare_dir, 1)
-    try:
-        with pytest.raises(ValueError, match="no admission controller"):
-            bare.pump()
-    finally:
-        bare.shutdown()
 
 
 # ----------------------------------------------------------------------
@@ -313,7 +278,7 @@ def _membership_script(world):
             "tick": index,
             "events": [
                 event_to_dict(event)
-                for event in events_of(workload.ticks[index - 1])
+                for event in workload.ticks[index - 1]
             ],
         }
 
@@ -506,7 +471,7 @@ def test_checkpoint_file_is_the_engines_canonical_encoding(world, tmp_path):
                 "tick": index,
                 "events": [
                     event_to_dict(event)
-                    for event in events_of(workload.ticks[index - 1])
+                    for event in workload.ticks[index - 1]
                 ],
             }
         )

@@ -5,7 +5,9 @@ perturb a single fix: moved sessions travel as checkpoint entries (the
 same unit recovery restores), stayers are untouched, and the merged
 streams still match the single-engine baseline bit for bit.  The same
 contract is held with the adversarial defense live: a session mid-way
-through a quarantine streak migrates with its trust state intact.
+through a quarantine streak migrates with its trust state intact.  The
+coordinator's own bookkeeping around membership (one request per
+admission, the ``cluster.sessions`` gauge) is checked here too.
 """
 
 from __future__ import annotations
@@ -23,12 +25,17 @@ from repro.serving import build_session_services
 from repro.sim.adversary import inject_rogue_ap
 from repro.sim.evaluation import multi_session_workload
 
-from cluster_helpers import checksums, events_of, make_cluster, make_shards
+from cluster_helpers import (
+    admit_sessions,
+    checksums,
+    make_cluster,
+    make_shards,
+)
 
 
 def _serve(coordinator, fixes, ticks):
     for tick in ticks:
-        events = events_of(tick)
+        events = list(tick)
         outcome = coordinator.tick_detailed(events)
         for event, fix in zip(events, outcome.fixes):
             fixes[event.session_id].append(fix)
@@ -179,6 +186,43 @@ def test_merged_counters_never_go_backwards(world, tmp_path):
         == final["engine"]["counters"]["engine.intervals"]
         > merged[0]["engine"]["counters"]["engine.intervals"]
     )
+
+
+class _CountingShard:
+    """A shard transport that records the op of every request it carries."""
+
+    def __init__(self, shard):
+        self._shard = shard
+        self.shard_id = shard.shard_id
+        self.ops = []
+
+    def request(self, payload):
+        self.ops.append(payload["op"])
+        return self._shard.request(payload)
+
+    def __getattr__(self, name):
+        return getattr(self._shard, name)
+
+
+def test_admission_is_one_request_to_the_home_shard(world, tmp_path):
+    """``add_session`` asks the session's home shard once and no other;
+    ``cluster.sessions`` is read off the shard snapshots instead."""
+    workload = world[3]
+    shards = [
+        _CountingShard(shard) for shard in make_shards(world, tmp_path, 3)
+    ]
+    coordinator = ClusterCoordinator(shards)
+    # Shards that never held a session have never set engine.sessions.
+    empty = coordinator.metrics_snapshot()["coordinator"]["gauges"]
+    for shard in shards:
+        shard.ops.clear()
+    admit_sessions(coordinator, world)
+    ops = [op for shard in shards for op in shard.ops]
+    assert ops == ["add_session"] * len(workload.sessions)
+    full = coordinator.metrics_snapshot()["coordinator"]["gauges"]
+    coordinator.shutdown()
+    assert empty["cluster.sessions"] == 0
+    assert full["cluster.sessions"] == len(workload.sessions)
 
 
 ROGUE_AP = 5

@@ -11,7 +11,6 @@ from repro.env.procedural import (
     EnvironmentSpec,
     environment_checksum,
     generate_environment,
-    register_placement_policy,
 )
 
 
@@ -162,51 +161,27 @@ class TestPlacement:
                 p.as_tuple() for p in b.plan.selected_aps()
             ]
 
-    def test_register_placement_policy(self):
-        def center_stack(spec, width, height, bands, rng):
-            return [Point(width / 2.0, height / 2.0)] * spec.n_aps
-
-        register_placement_policy("center-stack", center_stack)
-        try:
-            spec = EnvironmentSpec(topology="corridor", rows=2, cols=3,
-                                   floor_width_m=15.0, floor_height_m=8.0,
-                                   n_aps=3, placement="center-stack")
-            env = generate_environment(spec, seed=0)
-            assert all(
-                p.as_tuple() == (7.5, 4.0) for p in env.plan.selected_aps()
-            )
-            with pytest.raises(ValueError, match="already registered"):
-                register_placement_policy("center-stack", center_stack)
-        finally:
-            del PLACEMENT_POLICIES["center-stack"]
-
-    def test_wrong_mount_count_is_rejected(self):
+    def test_wrong_mount_count_is_rejected(self, monkeypatch):
         def short_changer(spec, width, height, bands, rng):
             return [Point(1.0, 1.0)]
 
-        register_placement_policy("short-changer", short_changer)
-        try:
-            spec = EnvironmentSpec(topology="corridor", rows=2, cols=3,
-                                   floor_width_m=15.0, floor_height_m=8.0,
-                                   n_aps=3, placement="short-changer")
-            with pytest.raises(ValueError, match="returned 1 mounts"):
-                generate_environment(spec, seed=0)
-        finally:
-            del PLACEMENT_POLICIES["short-changer"]
+        monkeypatch.setitem(PLACEMENT_POLICIES, "short-changer", short_changer)
+        spec = EnvironmentSpec(topology="corridor", rows=2, cols=3,
+                               floor_width_m=15.0, floor_height_m=8.0,
+                               n_aps=3, placement="short-changer")
+        with pytest.raises(ValueError, match="returned 1 mounts"):
+            generate_environment(spec, seed=0)
 
-    def test_out_of_bounds_mount_is_rejected(self):
+    def test_out_of_bounds_mount_is_rejected(self, monkeypatch):
         def escapee(spec, width, height, bands, rng):
             return [Point(width + 5.0, 1.0)] * spec.n_aps
 
-        register_placement_policy("escapee", escapee)
-        try:
-            spec = EnvironmentSpec(topology="corridor", rows=2, cols=3,
-                                   floor_width_m=15.0, floor_height_m=8.0,
-                                   n_aps=2, placement="escapee")
-            with pytest.raises(ValueError, match="outside the"):
-                generate_environment(spec, seed=0)
-        finally:
-            del PLACEMENT_POLICIES["escapee"]
+        monkeypatch.setitem(PLACEMENT_POLICIES, "escapee", escapee)
+        spec = EnvironmentSpec(topology="corridor", rows=2, cols=3,
+                               floor_width_m=15.0, floor_height_m=8.0,
+                               n_aps=2, placement="escapee")
+        with pytest.raises(ValueError, match="outside the"):
+            generate_environment(spec, seed=0)
 
 
 class TestChecksum:

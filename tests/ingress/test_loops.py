@@ -18,7 +18,7 @@ from cluster_helpers import checksums, make_shards
 from repro.cluster import ClusterCoordinator, fresh_session_entry
 from repro.ingress import IngressConfig, IngressDriver, lockstep_fix_streams
 from repro.serving import build_session_services
-from repro.sim.evaluation import open_loop_schedule
+from repro.sim.evaluation import Arrival, open_loop_schedule
 
 TERMINAL = {
     "served",
@@ -198,6 +198,31 @@ class TestBackpressure:
         answered = sum(len(s) for s in result.fixes.values())
         refused = result.count("rejected") + result.count("dropped")
         assert answered + refused == schedule.n_arrivals
+
+    def test_redelivery_of_a_queued_interval_gets_its_own_disposition(
+        self, world, tmp_path
+    ):
+        """A re-send may carry the very object still waiting in the queue.
+
+        A reconnect-storm redelivery reuses its original's interval
+        object.  Landing inside the original's batch window, both sit in
+        one admission queue at once; each must still be answered on its
+        own (the original served, the re-send a duplicate).
+        """
+        _, _, _, workload = world
+        interval = workload.ticks[0][0]
+        config = IngressConfig()
+        arrivals = [
+            Arrival(0.0, interval),
+            Arrival(config.batch_window_s / 2, interval, redelivery=True),
+        ]
+        driver = make_driver(world, tmp_path, 1, config=config)
+        result = driver.run(arrivals)
+        assert [d.status for d in result.dispositions] == [
+            "served",
+            "duplicate",
+        ]
+        assert len(result.fixes[interval.session_id]) == 2
 
     def test_reject_newest_refuses_at_capacity(self, world, tmp_path):
         driver = make_driver(

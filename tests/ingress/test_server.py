@@ -24,7 +24,6 @@ from repro.ingress import (
     lockstep_fix_streams,
     replay_schedule,
 )
-from repro.ingress.loops import event_of
 from repro.io.serialize import fix_from_dict
 from repro.serving import build_session_services, fix_stream_checksum
 from repro.serving.checkpoint import event_to_dict
@@ -237,7 +236,7 @@ class TestProtocol:
                     {
                         "op": "serve",
                         "id": f"serve-{slot}",
-                        "event": event_to_dict(event_of(arrival)),
+                        "event": event_to_dict(arrival.interval),
                     }
                 )
                 if slot % 3 == 0:
@@ -356,7 +355,7 @@ class TestStopFlush:
                         {
                             "op": "serve",
                             "id": 1,
-                            "event": event_to_dict(event_of(arrival)),
+                            "event": event_to_dict(arrival.interval),
                         }
                     )
                     + "\n"

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.config import MoLocConfig
 from repro.io.serialize import (
     fix_from_dict,
     fix_to_dict,
@@ -80,18 +79,6 @@ def _make_service_factory(fingerprint_db, motion_db, config):
     return make_service
 
 
-def _events_of(tick):
-    return [
-        IntervalEvent(
-            session_id=interval.session_id,
-            scan=interval.scan,
-            imu=interval.imu,
-            sequence=interval.sequence,
-        )
-        for interval in tick
-    ]
-
-
 def _checkpoint_text(engine: BatchedServingEngine) -> str:
     return json.dumps(engine.checkpoint(), sort_keys=True)
 
@@ -116,7 +103,7 @@ def baseline_run(crash_world, tmp_path_factory):
     checkpoints = {0: json.loads(json.dumps(engine.checkpoint()))}
     with WriteAheadLog(wal_path, fsync=False) as wal:
         for tick in workload.ticks:
-            events = _events_of(tick)
+            events = list(tick)
             wal.append(engine.tick_index + 1, events)
             fixes = engine.tick(events)
             tick_fixes.append(
@@ -293,7 +280,7 @@ class TestMembershipRecovery:
             def tick(index):
                 events = [
                     event
-                    for event in _events_of(workload.ticks[index])
+                    for event in workload.ticks[index]
                     if event.session_id in engine.sessions
                 ]
                 wal.append(engine.tick_index + 1, events)
@@ -564,7 +551,7 @@ class TestSerializationRoundTrips:
             for interval in tick:
                 if interval.session_id != session_id:
                     continue
-                (fix,) = engine.tick(_events_of([interval]))
+                (fix,) = engine.tick([interval])
                 fixes.append(fix)
         assert fixes
         for fix in fixes:

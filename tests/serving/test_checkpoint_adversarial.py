@@ -23,7 +23,6 @@ from repro.robustness import ResilientMoLocService
 from repro.robustness.trust import ApTrustMonitor
 from repro.serving import (
     BatchedServingEngine,
-    IntervalEvent,
     WriteAheadLog,
     build_session_services,
     fix_stream_checksum,
@@ -72,18 +71,6 @@ def attack_world(small_study):
     return fingerprint_db, motion_db, small_study.config, workload
 
 
-def _events_of(tick):
-    return [
-        IntervalEvent(
-            session_id=interval.session_id,
-            scan=interval.scan,
-            imu=interval.imu,
-            sequence=interval.sequence,
-        )
-        for interval in tick
-    ]
-
-
 def _checkpoint_text(engine: BatchedServingEngine) -> str:
     return json.dumps(engine.checkpoint(), sort_keys=True)
 
@@ -109,7 +96,7 @@ def baseline_run(attack_world, tmp_path_factory):
     checkpoints = {0: json.loads(json.dumps(engine.checkpoint()))}
     with WriteAheadLog(wal_path, fsync=False) as wal:
         for tick in workload.ticks:
-            events = _events_of(tick)
+            events = list(tick)
             wal.append(engine.tick_index + 1, events)
             fixes = engine.tick(events)
             tick_fixes.append(

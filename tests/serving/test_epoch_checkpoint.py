@@ -87,18 +87,6 @@ def _make_service_factory(engine, motion_db, config):
     return make_service
 
 
-def _events_of(tick):
-    return [
-        IntervalEvent(
-            session_id=interval.session_id,
-            scan=interval.scan,
-            imu=interval.imu,
-            sequence=interval.sequence,
-        )
-        for interval in tick
-    ]
-
-
 def _checkpoint_text(engine: BatchedServingEngine) -> str:
     return json.dumps(engine.checkpoint(), sort_keys=True)
 
@@ -148,7 +136,7 @@ def flip_baseline(epoch_world, tmp_path_factory):
                 post_flip_checkpoint = json.loads(
                     json.dumps(engine.checkpoint())
                 )
-            events = _events_of(tick)
+            events = list(tick)
             wal.append(engine.tick_index + 1, events)
             fixes = engine.tick(events)
             tick_fixes.append(

@@ -13,8 +13,6 @@ import itertools
 
 import pytest
 
-from repro.motion.pedestrian import BodyProfile
-from repro.robustness import ResilientMoLocService
 from repro.robustness.health import FaultType, ServingMode
 from repro.serving import (
     BatchedServingEngine,
@@ -44,18 +42,6 @@ def world(small_study):
     return engine, workload
 
 
-def _events_of(tick):
-    return [
-        IntervalEvent(
-            session_id=interval.session_id,
-            scan=interval.scan,
-            imu=interval.imu,
-            sequence=interval.sequence,
-        )
-        for interval in tick
-    ]
-
-
 def _raise_for(session_id, phase="prepare", ticks=None):
     """An injector that fails one session in one phase (optionally only
     on the given engine tick indices)."""
@@ -73,7 +59,7 @@ class TestQuarantineLifecycle:
         engine, workload = world
         victim, healthy = sorted(workload.sessions)
         engine.fault_injector = _raise_for(victim)
-        outcome = engine.tick_detailed(_events_of(workload.ticks[0]))
+        outcome = engine.tick_detailed(list(workload.ticks[0]))
         assert outcome.served == (healthy,)
         assert [fault.session_id for fault in outcome.faulted] == [victim]
         fault = outcome.faulted[0]
@@ -90,13 +76,13 @@ class TestQuarantineLifecycle:
         engine, workload = world
         victim, healthy = sorted(workload.sessions)
         engine.fault_injector = _raise_for(victim)
-        outcome = engine.tick_detailed(_events_of(workload.ticks[0]))
+        outcome = engine.tick_detailed(list(workload.ticks[0]))
         backoff = outcome.faulted[0].backoff_ticks
         engine.fault_injector = None  # the dependency has recovered
         victim_events = [
             event
             for tick in workload.ticks[1:]
-            for event in _events_of(tick)
+            for event in tick
             if event.session_id == victim
         ]
         # While quarantined, the victim's events are skipped ...
@@ -123,7 +109,7 @@ class TestQuarantineLifecycle:
             [
                 event
                 for tick in workload.ticks
-                for event in _events_of(tick)
+                for event in tick
                 if event.session_id == victim
             ]
         )
@@ -176,7 +162,7 @@ class TestQuarantineLifecycle:
                 # the transport stops routing to dead sessions.
                 events = [
                     event
-                    for event in _events_of(tick)
+                    for event in tick
                     if event.session_id in engine.sessions
                 ]
                 for event, fix in zip(events, engine.tick(events)):
@@ -192,7 +178,7 @@ class TestQuarantineLifecycle:
         engine, workload = world
         victim, healthy = sorted(workload.sessions)
         engine.fault_injector = _raise_for(victim, phase="match")
-        outcome = engine.tick_detailed(_events_of(workload.ticks[0]))
+        outcome = engine.tick_detailed(list(workload.ticks[0]))
         assert outcome.served == (healthy,)
         assert outcome.faulted[0].phase == "match"
 
@@ -206,7 +192,7 @@ class TestQuarantineLifecycle:
 
         engine.fault_injector = blow_up
         with pytest.raises(MemoryError):
-            engine.tick(_events_of(workload.ticks[0]))
+            engine.tick(list(workload.ticks[0]))
 
 
 class TestQuarantinePolicy:
@@ -243,7 +229,7 @@ class TestSequenceAdmission:
         events = [
             event
             for tick in workload.ticks[:2]
-            for event in _events_of(tick)
+            for event in tick
             if event.session_id == session_id
         ]
         engine.tick([events[0]])
@@ -273,7 +259,7 @@ class TestSequenceAdmission:
         victim_events = [
             event
             for tick in workload.ticks[:2]
-            for event in _events_of(tick)
+            for event in tick
             if event.session_id == victim
         ]
         # Tick 1 serves cleanly: the victim now has a cached fix.
@@ -303,7 +289,7 @@ class TestSequenceAdmission:
         events = [
             event
             for tick in workload.ticks[:3]
-            for event in _events_of(tick)
+            for event in tick
             if event.session_id == session_id
         ]
         for event in events:
@@ -323,7 +309,7 @@ class TestSequenceAdmission:
         events = [
             event
             for tick in workload.ticks[:4]
-            for event in _events_of(tick)
+            for event in tick
             if event.session_id == session_id
         ]
         engine.tick([events[0]])
@@ -341,7 +327,7 @@ class TestSequenceAdmission:
         events = [
             IntervalEvent(event.session_id, event.scan, event.imu, None)
             for tick in workload.ticks[:2]
-            for event in _events_of(tick)
+            for event in tick
             if event.session_id == session_id
         ]
         for event in events:
@@ -380,10 +366,10 @@ class TestDeadlineShedding:
     def test_over_budget_completions_shed_to_wifi_only(self, small_study):
         engine, workload = self._engine(small_study, budget_s=0.5)
         # Tick 1: initial intervals carry no IMU, so nothing sheds ...
-        outcome = engine.tick_detailed(_events_of(workload.ticks[0]))
+        outcome = engine.tick_detailed(list(workload.ticks[0]))
         assert outcome.shed == ()
         # ... tick 2: motion-assisted completions cross the deadline.
-        outcome = engine.tick_detailed(_events_of(workload.ticks[1]))
+        outcome = engine.tick_detailed(list(workload.ticks[1]))
         assert set(outcome.shed) == set(workload.sessions)
         for fix in outcome.fixes:
             assert fix is not None, "a shed session is served, not dropped"
@@ -397,7 +383,7 @@ class TestDeadlineShedding:
     def test_no_budget_means_no_shedding(self, small_study):
         engine, workload = self._engine(small_study, budget_s=None)
         for tick in workload.ticks[:3]:
-            outcome = engine.tick_detailed(_events_of(tick))
+            outcome = engine.tick_detailed(list(tick))
             assert outcome.shed == ()
         assert (
             engine.metrics.snapshot()["counters"]["engine.deadline.shed"] == 0

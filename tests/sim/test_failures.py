@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.fingerprint import Fingerprint
 from repro.radio.propagation import SENSITIVITY_FLOOR_DBM
@@ -180,103 +179,13 @@ class TestDegradationBehavior:
         assert biased_moloc > clean_moloc - 0.1
 
 
-@pytest.fixture()
-def workload(small_study):
-    from repro.sim.evaluation import multi_session_workload
-
-    return multi_session_workload(
-        small_study.test_traces, 4, corpus_size=2, stagger_ticks=1
-    )
-
-
-class TestMessageDuplication:
-    def test_duplicate_lands_on_the_next_tick(self, workload):
-        from repro.sim.failures import inject_message_duplication
-
-        session_id = "user-0000"
-        last = max(
-            index
-            for index, tick in enumerate(workload.ticks)
-            if any(iv.session_id == session_id for iv in tick)
-        )
-        injected = inject_message_duplication(workload, session_id, last)
-        original = next(
-            iv for iv in injected.ticks[last] if iv.session_id == session_id
-        )
-        duplicate = next(
-            iv
-            for iv in injected.ticks[last + 1]
-            if iv.session_id == session_id
-        )
-        assert duplicate is original  # same payload, same sequence number
-
-    def test_refuses_a_colliding_next_tick(self, workload):
-        from repro.sim.failures import inject_message_duplication
-
-        # user-0000 has intervals on consecutive ticks from the start.
-        with pytest.raises(ValueError, match="already has an interval"):
-            inject_message_duplication(workload, "user-0000", 0)
-
-    def test_out_of_range_and_unknown_session(self, workload):
-        from repro.sim.failures import inject_message_duplication
-
-        with pytest.raises(ValueError, match="out of range"):
-            inject_message_duplication(workload, "user-0000", 999)
-        with pytest.raises(ValueError, match="no interval"):
-            inject_message_duplication(workload, "ghost", 0)
-
-
-class TestMessageReorder:
-    def test_adjacent_intervals_swap(self, workload):
-        from repro.sim.failures import inject_message_reorder
-
-        session_id = "user-0000"
-        before_first = next(
-            iv for iv in workload.ticks[2] if iv.session_id == session_id
-        )
-        before_second = next(
-            iv for iv in workload.ticks[3] if iv.session_id == session_id
-        )
-        injected = inject_message_reorder(workload, session_id, 2)
-        after_first = next(
-            iv for iv in injected.ticks[2] if iv.session_id == session_id
-        )
-        after_second = next(
-            iv for iv in injected.ticks[3] if iv.session_id == session_id
-        )
-        assert after_first is before_second
-        assert after_second is before_first
-
-    def test_other_sessions_untouched(self, workload):
-        from repro.sim.failures import inject_message_reorder
-
-        injected = inject_message_reorder(workload, "user-0000", 2)
-        for tick_before, tick_after in zip(workload.ticks, injected.ticks):
-            before = [
-                iv for iv in tick_before if iv.session_id != "user-0000"
-            ]
-            after = [iv for iv in tick_after if iv.session_id != "user-0000"]
-            assert [id(iv) for iv in before] == [id(iv) for iv in after]
-
-    def test_missing_interval_raises(self, workload):
-        from repro.sim.failures import inject_message_reorder
-
-        with pytest.raises(ValueError):
-            # Either the session is absent from the last tick or the
-            # successor tick is out of range; both are rejected.
-            inject_message_reorder(
-                workload, "user-0000", len(workload.ticks) - 1
-            )
-
-
 class TestInjectorPurity:
     """Every injector is pure: new objects out, inputs never mutated.
 
-    The chaos and robustness suites reuse one clean workload/trace set
-    across many injections; a single mutating injector would silently
-    poison every later measurement, so purity is asserted property-style
-    across injectors and parameters, on snapshots of the raw float
-    payloads (numpy arrays included).
+    The robustness suites reuse one clean trace set across many
+    injections; a single mutating injector would silently poison every
+    later measurement, so purity is asserted across injectors on
+    snapshots of the raw float payloads (numpy arrays included).
     """
 
     @staticmethod
@@ -300,15 +209,6 @@ class TestInjectorPurity:
             ),
         )
 
-    @staticmethod
-    def _workload_snapshot(workload):
-        # Interval payloads are shared immutables; identity plus tick
-        # shape pins the structure an injector could corrupt.
-        return (
-            tuple(sorted(workload.sessions)),
-            tuple(tuple(id(iv) for iv in tick) for tick in workload.ticks),
-        )
-
     @pytest.mark.parametrize(
         "inject",
         [
@@ -323,43 +223,3 @@ class TestInjectorPurity:
         before = self._trace_snapshot(trace)
         inject(trace)
         assert self._trace_snapshot(trace) == before
-
-    @given(data=st.data())
-    @settings(
-        max_examples=25,
-        deadline=None,
-        # The fixture is shared across examples on purpose: not being
-        # mutated by the injectors is exactly the property under test.
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    def test_message_injectors_do_not_mutate(self, workload, data):
-        from repro.sim.failures import (
-            inject_message_duplication,
-            inject_message_reorder,
-        )
-
-        before = self._workload_snapshot(workload)
-        session_id = data.draw(
-            st.sampled_from(sorted(workload.sessions)), label="session"
-        )
-        tick = data.draw(
-            st.integers(min_value=0, max_value=len(workload.ticks)),
-            label="tick",
-        )
-        inject = data.draw(
-            st.sampled_from(
-                [inject_message_duplication, inject_message_reorder]
-            ),
-            label="injector",
-        )
-        try:
-            injected = inject(workload, session_id, tick)
-        except ValueError:
-            injected = None  # invalid placements must also leave no trace
-        assert self._workload_snapshot(workload) == before
-        if injected is not None:
-            # The result shares no tick-list objects with the input:
-            # mutating it later cannot reach back either.
-            assert injected.ticks is not workload.ticks
-            for mine, theirs in zip(injected.ticks, workload.ticks):
-                assert mine is not theirs
