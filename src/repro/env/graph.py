@@ -6,16 +6,21 @@ are geographically close but separated by a partition are *not* adjacent
 (the consistency principle of Sec. IV-A).  This module models that graph
 explicitly and is the ground truth against which the crowdsourced motion
 database is validated.
+
+The graph is a plain adjacency dict: ``{location_id: {neighbor_id:
+hop_distance_m}}``.  Shortest paths use bidirectional Dijkstra with
+networkx 3.x's exact expansion and tie-breaking order, so equal-length
+routes resolve to the same node list networkx would return.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from heapq import heappop, heappush
+from itertools import count
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .floorplan import FloorPlan
-from .geometry import Point, bearing_between, polyline_length
+from .geometry import bearing_between, polyline_length
 
 __all__ = ["WalkableGraph"]
 
@@ -44,8 +49,9 @@ class WalkableGraph:
         validate_line_of_sight: bool = True,
     ) -> None:
         self.plan = plan
-        self._graph = nx.Graph()
-        self._graph.add_nodes_from(plan.location_ids)
+        self._adj: Dict[int, Dict[int, float]] = {
+            location_id: {} for location_id in plan.location_ids
+        }
 
         for i, j in edges:
             if i == j:
@@ -57,7 +63,9 @@ class WalkableGraph:
                 raise ValueError(
                     f"edge ({i}, {j}) crosses a wall; not a walkable hop"
                 )
-            self._graph.add_edge(i, j, distance=a.distance_to(b))
+            distance = a.distance_to(b)
+            self._adj[i][j] = distance
+            self._adj[j][i] = distance
 
     # ------------------------------------------------------------------
     # Structure queries
@@ -66,30 +74,46 @@ class WalkableGraph:
     @property
     def node_ids(self) -> List[int]:
         """All location IDs, ascending."""
-        return sorted(self._graph.nodes)
+        return sorted(self._adj)
 
     @property
     def edge_list(self) -> List[Tuple[int, int]]:
         """All undirected edges as ``(min_id, max_id)`` pairs, sorted."""
-        return sorted((min(i, j), max(i, j)) for i, j in self._graph.edges)
+        return sorted(
+            (i, j) for i, neighbors in self._adj.items() for j in neighbors if i < j
+        )
 
     def neighbors(self, location_id: int) -> List[int]:
         """Locations directly walkable from ``location_id``, ascending."""
-        if location_id not in self._graph:
-            raise KeyError(f"no location {location_id} in walkable graph")
-        return sorted(self._graph.neighbors(location_id))
+        return sorted(self._neighbors_of(location_id))
 
     def are_adjacent(self, location_a: int, location_b: int) -> bool:
         """Whether the two locations are one walkable hop apart."""
-        return self._graph.has_edge(location_a, location_b)
+        return location_b in self._adj.get(location_a, ())
 
     def degree(self, location_id: int) -> int:
         """How many direct walkable hops leave ``location_id``."""
-        return self._graph.degree(location_id)
+        return len(self._neighbors_of(location_id))
 
     def is_connected(self) -> bool:
         """Whether every location is reachable from every other one."""
-        return len(self._graph) > 0 and nx.is_connected(self._graph)
+        if not self._adj:
+            return False
+        start = next(iter(self._adj))
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            for neighbor in self._adj[frontier.pop()]:
+                if neighbor not in seen:
+                    seen.add(neighbor)
+                    frontier.append(neighbor)
+        return len(seen) == len(self._adj)
+
+    def _neighbors_of(self, location_id: int) -> Dict[int, float]:
+        try:
+            return self._adj[location_id]
+        except KeyError:
+            raise KeyError(f"no location {location_id} in walkable graph") from None
 
     # ------------------------------------------------------------------
     # Ground-truth relative location measurements
@@ -102,7 +126,7 @@ class WalkableGraph:
             KeyError: if the locations are not adjacent.
         """
         try:
-            return self._graph.edges[location_a, location_b]["distance"]
+            return self._adj[location_a][location_b]
         except KeyError:
             raise KeyError(
                 f"locations {location_a} and {location_b} are not adjacent"
@@ -125,10 +149,68 @@ class WalkableGraph:
     def shortest_path(self, source: int, target: int) -> List[int]:
         """Shortest walkable path (by distance) between two locations.
 
+        Bidirectional Dijkstra, expanding the forward and backward searches
+        in turn from ``(distance, push order, node)`` heaps and meeting at
+        the best node seen from both sides: on ties it returns the same
+        node list as networkx 3.x ``shortest_path(..., weight="distance")``.
+
         Raises:
-            nx.NetworkXNoPath: if no walkable path exists.
+            KeyError: if either location is not in the graph.
+            ValueError: if no walkable path exists.
         """
-        return nx.shortest_path(self._graph, source, target, weight="distance")
+        self._neighbors_of(source)
+        self._neighbors_of(target)
+        if source == target:
+            return [source]
+
+        dists: List[Dict[int, float]] = [{}, {}]
+        preds: List[Dict[int, Optional[int]]] = [{source: None}, {target: None}]
+        seen: List[Dict[int, float]] = [{source: 0.0}, {target: 0.0}]
+        fringe: List[List[Tuple[float, int, int]]] = [[], []]
+        pushes = count()
+        heappush(fringe[0], (0.0, next(pushes), source))
+        heappush(fringe[1], (0.0, next(pushes), target))
+        best: Optional[float] = None
+        meet: Optional[int] = None
+        direction = 1
+        while fringe[0] and fringe[1]:
+            direction = 1 - direction
+            dist, _, v = heappop(fringe[direction])
+            if v in dists[direction]:
+                continue
+            dists[direction][v] = dist
+            if v in dists[1 - direction]:
+                return self._trace(preds, meet)
+            for w, cost in self._adj[v].items():
+                length = dist + cost
+                if w in dists[direction]:
+                    continue
+                if w not in seen[direction] or length < seen[direction][w]:
+                    seen[direction][w] = length
+                    heappush(fringe[direction], (length, next(pushes), w))
+                    preds[direction][w] = v
+                    if w in seen[1 - direction]:
+                        total = length + seen[1 - direction][w]
+                        if best is None or best > total:
+                            best, meet = total, w
+        raise ValueError(f"no walkable path between {source} and {target}")
+
+    @staticmethod
+    def _trace(
+        preds: List[Dict[int, Optional[int]]], meet: Optional[int]
+    ) -> List[int]:
+        """Join the forward and backward predecessor chains at ``meet``."""
+        path: List[int] = []
+        node = meet
+        while node is not None:
+            path.append(node)
+            node = preds[0][node]
+        path.reverse()
+        node = preds[1][meet]
+        while node is not None:
+            path.append(node)
+            node = preds[1][node]
+        return path
 
     def walking_distance(self, source: int, target: int) -> float:
         """Length of the shortest walkable path between two locations."""

@@ -61,6 +61,14 @@ class TestStructure:
         with pytest.raises(KeyError):
             square_graph.neighbors(99)
 
+    def test_degree_of_unknown_location(self, square_graph):
+        with pytest.raises(KeyError, match="no location 99"):
+            square_graph.degree(99)
+
+    def test_unknown_location_is_adjacent_to_nothing(self, square_graph):
+        assert not square_graph.are_adjacent(99, 1)
+        assert not square_graph.are_adjacent(1, 99)
+
     def test_adjacency_symmetric(self, square_graph):
         assert square_graph.are_adjacent(1, 3)
         assert square_graph.are_adjacent(3, 1)
@@ -79,6 +87,10 @@ class TestStructure:
     def test_disconnected_graph_detected(self, square_plan):
         graph = WalkableGraph(square_plan, edges=[(1, 2)])
         assert not graph.is_connected()
+
+    def test_empty_graph_is_not_connected(self):
+        plan = FloorPlan(width=1.0, height=1.0, reference_locations=[])
+        assert not WalkableGraph(plan, edges=[]).is_connected()
 
 
 class TestHopMeasurements:
@@ -112,3 +124,18 @@ class TestPaths:
 
     def test_walking_distance_single_hop_is_straight(self, square_graph):
         assert square_graph.walking_distance(1, 2) == pytest.approx(6.0)
+
+    def test_shortest_path_to_itself(self, square_graph):
+        assert square_graph.shortest_path(3, 3) == [3]
+
+    def test_shortest_path_between_disconnected_locations_raises(self, square_plan):
+        graph = WalkableGraph(square_plan, edges=[(1, 2), (3, 4)])
+        with pytest.raises(ValueError, match="no walkable path between 1 and 4"):
+            graph.shortest_path(1, 4)
+        with pytest.raises(ValueError, match="no walkable path"):
+            graph.walking_distance(4, 2)
+
+    @pytest.mark.parametrize("source, target", [(99, 1), (1, 99), (99, 99)])
+    def test_shortest_path_unknown_location_raises(self, square_graph, source, target):
+        with pytest.raises(KeyError, match="no location 99"):
+            square_graph.shortest_path(source, target)

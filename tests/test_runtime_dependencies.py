@@ -1,12 +1,16 @@
-"""The serving stack imports no scipy: it is a test-only dependency.
+"""The serving stack imports neither scipy nor networkx: both are test-only.
 
 scipy.signal alone took most of the import time of every ingress
-server, process shard and gate run, so a stray runtime import would
-quietly bring that set-up cost back.
+server, process shard and gate run, and networkx was the largest import
+left after it (about 320 modules and 13 MB per process), so a stray
+runtime import would quietly bring that set-up cost back.
+``repro.sim.experiments`` is in the probe because it builds the
+benchmark's tick workloads.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
@@ -17,12 +21,13 @@ import repro
 
 _PROBE = (
     "import json, sys\n"
-    "import repro, repro.cluster, repro.ingress, repro.gates\n"
+    "import repro, repro.cluster, repro.ingress, repro.gates, repro.sim.experiments\n"
     "print(json.dumps(sorted(sys.modules)))\n"
 )
 
-
-def test_serving_stack_imports_no_scipy():
+@functools.lru_cache(maxsize=None)
+def _serving_modules():
+    """Every module a fresh interpreter holds after importing the stack."""
     src = str(Path(repro.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
@@ -34,4 +39,17 @@ def test_serving_stack_imports_no_scipy():
     )
     modules = json.loads(result.stdout.splitlines()[-1])
     assert "repro.gates" in modules
-    assert [m for m in modules if m == "scipy" or m.startswith("scipy.")] == []
+    assert "repro.sim.experiments" in modules
+    return modules
+
+
+def _loaded(package):
+    return [m for m in _serving_modules() if m == package or m.startswith(package + ".")]
+
+
+def test_serving_stack_imports_no_scipy():
+    assert _loaded("scipy") == []
+
+
+def test_serving_stack_imports_no_networkx():
+    assert _loaded("networkx") == []
